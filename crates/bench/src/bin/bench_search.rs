@@ -22,22 +22,12 @@
 //! The binary asserts the warm rerun is ≥ 5× faster with byte-identical
 //! ranked summaries, and records `session_warm_speedup`.
 //!
-//! A fourth section measures the **sharded** mode: a fresh
-//! `Session::open_sharded(n)` (n from `CHARLES_BENCH_SHARDS` or the third
-//! argument, default 2) against a fresh unsharded session on the identical
-//! query. The binary *asserts* the sharded rankings are byte-identical to
-//! the unsharded ones — the sharding exactness contract — and records both
-//! throughputs side by side.
+//! A fourth section measures the **compressed** mode: the same query on
+//! a session whose columns are sealed into per-block encodings. The binary
+//! asserts its rankings, score bits, and α-sweeps are byte-identical to
+//! the raw session's at 1, 2, and 3 search threads.
 //!
-//! A fifth section measures the **distributed** mode: the same query with
-//! per-shard statistics served by real `charles-server` workers over the
-//! wire protocol (`CHARLES_BENCH_WORKERS` in-process loopback workers,
-//! default 2, or running `charles-worker` processes named by
-//! `CHARLES_BENCH_WORKER_ADDRS`). The binary *asserts* the distributed
-//! rankings and score bits are byte-identical to the local path and
-//! records `distributed_run_seconds` / `distributed_vs_local_speedup`.
-//!
-//! Run: `cargo run --release -p charles-bench --bin bench_search [rows] [threads] [shards]`
+//! Run: `cargo run --release -p charles-bench --bin bench_search [rows] [threads]`
 //!
 //! The parallel end-to-end section detects available parallelism
 //! (`std::thread::available_parallelism`, cgroup-aware) unless a thread
@@ -49,14 +39,12 @@ use charles_bench::pair_of;
 use charles_core::search::{
     evaluate_candidate, evaluate_candidate_naive, generate_candidates, run_search, SearchContext,
 };
-use charles_core::{Charles, CharlesConfig, ManagerConfig, Query, Session, SessionManager};
+use charles_core::{Charles, CharlesConfig, Query, Session};
 use charles_numerics::ols::{
     column_moments, column_moments_scalar, gram_partial, gram_partial_scalar,
 };
-use charles_server::{upload_csv, RemoteExecutor, Server, ServerConfig};
 use charles_synth::county;
 use std::hint::black_box;
-use std::sync::Arc;
 use std::time::Instant;
 
 fn main() {
@@ -250,46 +238,14 @@ fn main() {
         "session and one-shot engine disagree"
     );
 
-    // Sharded mode: fresh sharded vs fresh unsharded session, same query.
-    // The exactness contract makes "identical rankings" an assertion, not
-    // a tolerance — see tests/shard_equivalence.rs for the property suite.
-    let shards: usize = std::env::args()
-        .nth(3)
-        .or_else(|| std::env::var("CHARLES_BENCH_SHARDS").ok())
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(2);
-    let started = Instant::now();
-    let unsharded_session = Session::open(pair.clone()).expect("unsharded session");
-    let unsharded_result = unsharded_session.run(&query).expect("unsharded run");
-    let unsharded_secs = started.elapsed().as_secs_f64();
-    let started = Instant::now();
-    let sharded_session = Session::open_sharded(pair.clone(), shards).expect("sharded session");
-    let sharded_result = sharded_session.run(&query).expect("sharded run");
-    let sharded_secs = started.elapsed().as_secs_f64();
-    assert_eq!(
-        render(&sharded_result.summaries),
-        render(&unsharded_result.summaries),
-        "sharded rankings must be byte-identical to unsharded"
-    );
-    let sharded_scores: Vec<u64> = sharded_result
+    // The raw-plane reference the sealed sessions below must match.
+    let raw_session = Session::open(pair.clone()).expect("raw session");
+    let raw_result = raw_session.run(&query).expect("raw run");
+    let raw_scores: Vec<u64> = raw_result
         .summaries
         .iter()
         .map(|s| s.scores.score.to_bits())
         .collect();
-    let unsharded_scores: Vec<u64> = unsharded_result
-        .summaries
-        .iter()
-        .map(|s| s.scores.score.to_bits())
-        .collect();
-    assert_eq!(
-        sharded_scores, unsharded_scores,
-        "sharded score bits must be identical to unsharded"
-    );
-    let sharded_speedup = unsharded_secs / sharded_secs.max(1e-9);
-    eprintln!(
-        "sharded search ({shards} shards): {sharded_secs:.4}s vs unsharded {unsharded_secs:.4}s \
-         ({sharded_speedup:.2}x), rankings byte-identical"
-    );
 
     // Compressed (sealed) mode: the same pair with every column sealed
     // into per-block encodings (RLE/dictionary packing, delta/bitpack,
@@ -297,8 +253,8 @@ fn main() {
     // Resident bytes are measured on the freshly sealed pair, before any
     // decode cache fills; the ratio floor is a CI gate on the county
     // workload. Sealing is a layout choice, so rankings, score bits, and
-    // α-sweeps must be byte-identical to the raw path at every shard
-    // count — asserted for shards ∈ {1, 2, 3}.
+    // α-sweeps must be byte-identical to the raw path at every search
+    // thread count — asserted for threads ∈ {1, 2, 3}.
     let sealed_pair = pair.sealed();
     let raw_plane_bytes = pair.source().approx_bytes() + pair.target().approx_bytes();
     let sealed_plane_bytes =
@@ -331,30 +287,33 @@ fn main() {
         blocks_skipped as f64 / (blocks_skipped + blocks_scanned).max(1) as f64;
 
     let sweep_alphas = [0.25, 0.75];
-    let base_sweep_bits: Vec<Vec<u64>> = unsharded_session
-        .sweep_alpha(&unsharded_result, &sweep_alphas)
+    let base_sweep_bits: Vec<Vec<u64>> = raw_session
+        .sweep_alpha(&raw_result, &sweep_alphas)
         .expect("raw sweep")
         .iter()
-        .map(|r| r.summaries.iter().map(|s| s.scores.score.to_bits()).collect())
+        .map(|r| {
+            r.summaries
+                .iter()
+                .map(|s| s.scores.score.to_bits())
+                .collect()
+        })
         .collect();
-    let sealed_config = CharlesConfig::default().with_sealed_columns(true);
     let mut sealed_secs = 0.0f64;
-    for sealed_shards in [1usize, 2, 3] {
+    for sealed_threads in [1usize, 2, 3] {
+        let sealed_config = CharlesConfig::default()
+            .with_sealed_columns(true)
+            .with_threads(sealed_threads);
         let started = Instant::now();
-        let session = if sealed_shards == 1 {
-            Session::open_with_config(pair.clone(), sealed_config.clone())
-        } else {
-            Session::open_sharded_with_config(pair.clone(), sealed_shards, sealed_config.clone())
-        }
-        .expect("sealed session");
+        let session =
+            Session::open_with_config(pair.clone(), sealed_config).expect("sealed session");
         let result = session.run(&query).expect("sealed run");
-        if sealed_shards == 1 {
+        if sealed_threads == 1 {
             sealed_secs = started.elapsed().as_secs_f64();
         }
         assert_eq!(
             render(&result.summaries),
-            render(&unsharded_result.summaries),
-            "sealed rankings must be byte-identical to raw (shards={sealed_shards})"
+            render(&raw_result.summaries),
+            "sealed rankings must be byte-identical to raw (threads={sealed_threads})"
         );
         let sealed_scores: Vec<u64> = result
             .summaries
@@ -362,150 +321,40 @@ fn main() {
             .map(|s| s.scores.score.to_bits())
             .collect();
         assert_eq!(
-            sealed_scores, unsharded_scores,
-            "sealed score bits must be identical to raw (shards={sealed_shards})"
+            sealed_scores, raw_scores,
+            "sealed score bits must be identical to raw (threads={sealed_threads})"
         );
         let sweep_bits: Vec<Vec<u64>> = session
             .sweep_alpha(&result, &sweep_alphas)
             .expect("sealed sweep")
             .iter()
-            .map(|r| r.summaries.iter().map(|s| s.scores.score.to_bits()).collect())
+            .map(|r| {
+                r.summaries
+                    .iter()
+                    .map(|s| s.scores.score.to_bits())
+                    .collect()
+            })
             .collect();
         assert_eq!(
             sweep_bits, base_sweep_bits,
-            "sealed α-sweep bits must be identical to raw (shards={sealed_shards})"
+            "sealed α-sweep bits must be identical to raw (threads={sealed_threads})"
         );
     }
     eprintln!(
         "compressed plane: {compressed_bytes_per_row:.1} B/row sealed vs \
          {:.1} B/row raw ({compression_ratio:.2}x), zone maps skipped \
          {blocks_skipped}/{} probed blocks; sealed rankings byte-identical \
-         at shards 1/2/3",
+         at threads 1/2/3",
         raw_plane_bytes as f64 / (2 * rows.max(1)) as f64,
         blocks_skipped + blocks_scanned,
     );
-
-    // Distributed mode: the same query with per-shard statistics served
-    // by real `charles-server` workers over the wire protocol. Workers
-    // come from CHARLES_BENCH_WORKER_ADDRS (comma-separated addresses of
-    // running `charles-worker` processes — the CI worker-smoke path) or
-    // are spawned in-process on loopback (CHARLES_BENCH_WORKERS of them,
-    // default 2). Everyone parses the same CSV text, so the assertion is
-    // bit-exactness, not a tolerance.
-    let mut source_csv = Vec::new();
-    let mut target_csv = Vec::new();
-    charles_relation::write_csv(pair.source(), &mut source_csv).expect("serialize source");
-    charles_relation::write_csv(pair.target(), &mut target_csv).expect("serialize target");
-    let source_csv = String::from_utf8(source_csv).expect("csv utf8");
-    let target_csv = String::from_utf8(target_csv).expect("csv utf8");
-    let canonical = charles_relation::SnapshotPair::align_on(
-        charles_relation::read_csv(source_csv.as_bytes()).expect("reparse source"),
-        charles_relation::read_csv(target_csv.as_bytes()).expect("reparse target"),
-        "name",
-    )
-    .expect("canonical pair");
-
-    let external: Vec<String> = std::env::var("CHARLES_BENCH_WORKER_ADDRS")
-        .ok()
-        .map(|s| {
-            s.split(',')
-                .map(str::trim)
-                .filter(|a| !a.is_empty())
-                .map(str::to_string)
-                .collect()
-        })
-        .unwrap_or_default();
-    let n_workers: usize = if external.is_empty() {
-        std::env::var("CHARLES_BENCH_WORKERS")
-            .ok()
-            .and_then(|a| a.parse().ok())
-            .unwrap_or(2)
-            .max(1)
-    } else {
-        external.len()
-    };
-    let mut worker_servers: Vec<Server> = Vec::new();
-    let worker_addrs: Vec<String> = if external.is_empty() {
-        (0..n_workers)
-            .map(|_| {
-                let manager = Arc::new(SessionManager::new(ManagerConfig::default()));
-                let server = Server::start(manager, ServerConfig::default().with_workers(2))
-                    .expect("worker server starts");
-                let addr = server.local_addr().to_string();
-                worker_servers.push(server);
-                addr
-            })
-            .collect()
-    } else {
-        external
-    };
-    for addr in &worker_addrs {
-        upload_csv(addr, "county_bench", &source_csv, &target_csv, Some("name"))
-            .expect("load dataset onto worker");
-    }
-    eprintln!(
-        "distributed section: {n_workers} worker(s) at {worker_addrs:?} ({})",
-        if worker_servers.is_empty() {
-            "external processes"
-        } else {
-            "in-process loopback"
-        }
-    );
-
-    let started = Instant::now();
-    let local_session = Session::open(canonical.clone()).expect("local canonical session");
-    let local_result = local_session.run(&query).expect("local canonical run");
-    let local_secs = started.elapsed().as_secs_f64();
-
-    let started = Instant::now();
-    let executor = Arc::new(
-        RemoteExecutor::connect("county_bench", &worker_addrs, canonical.len(), n_workers)
-            .expect("remote executor"),
-    );
-    let dist_session = Session::open_distributed(canonical.clone(), executor.clone())
-        .expect("distributed session");
-    let dist_result = dist_session.run(&query).expect("distributed run");
-    let distributed_secs = started.elapsed().as_secs_f64();
-
-    assert_eq!(
-        render(&dist_result.summaries),
-        render(&local_result.summaries),
-        "distributed rankings must be byte-identical to the local path"
-    );
-    let dist_scores: Vec<u64> = dist_result
-        .summaries
-        .iter()
-        .map(|s| s.scores.score.to_bits())
-        .collect();
-    let local_scores: Vec<u64> = local_result
-        .summaries
-        .iter()
-        .map(|s| s.scores.score.to_bits())
-        .collect();
-    assert_eq!(
-        dist_scores, local_scores,
-        "distributed score bits must be identical to the local path"
-    );
-    assert_eq!(
-        executor.redispatches(),
-        0,
-        "healthy workers, no re-dispatch"
-    );
-    let distributed_speedup = local_secs / distributed_secs.max(1e-9);
-    eprintln!(
-        "distributed search ({n_workers} workers): {distributed_secs:.4}s vs local \
-         {local_secs:.4}s ({distributed_speedup:.2}x), rankings byte-identical"
-    );
-    for server in &mut worker_servers {
-        server.shutdown();
-    }
 
     let n_cands = candidates.len() as f64;
     let shared_tput = n_cands / shared_secs;
     let naive_tput = n_cands / naive_secs;
     let speedup = shared_tput / naive_tput;
     let json = format!(
-        "{{\n  \"workload\": \"e5_county_scalability\",\n  \"rows\": {rows},\n  \"candidates\": {},\n  \"summaries_produced\": {produced},\n  \"naive_seconds\": {naive_secs:.4},\n  \"shared_seconds\": {shared_secs:.4},\n  \"naive_candidates_per_sec\": {naive_tput:.2},\n  \"shared_candidates_per_sec\": {shared_tput:.2},\n  \"speedup\": {speedup:.2},\n  \"gram_rows_per_sec\": {gram_rows_per_sec:.0},\n  \"moments_rows_per_sec\": {moments_rows_per_sec:.0},\n  \"kernel_vs_scalar_speedup\": {kernel_vs_scalar_speedup:.2},\n  \"moments_vs_scalar_speedup\": {moments_vs_scalar_speedup:.2},\n  \"parallel_search_seconds\": {parallel_secs:.4},\n  \"parallel_threads\": {},\n  \"ranked_summaries\": {},\n  \"distinct_summaries\": {},\n  \"session_cold_seconds\": {session_cold_secs:.4},\n  \"session_warm_seconds\": {session_warm_secs:.6},\n  \"session_warm_speedup\": {session_warm_speedup:.2},\n  \"shards\": {shards},\n  \"unsharded_run_seconds\": {unsharded_secs:.4},\n  \"sharded_run_seconds\": {sharded_secs:.4},\n  \"sharded_vs_unsharded_speedup\": {sharded_speedup:.2},\n  \"sharded_rankings_identical\": true,\n  \"compressed_bytes_per_row\": {compressed_bytes_per_row:.2},\n  \"compression_ratio\": {compression_ratio:.2},\n  \"zone_map_block_skip_frac\": {zone_map_block_skip_frac:.3},\n  \"sealed_run_seconds\": {sealed_secs:.4},\n  \"sealed_rankings_identical\": true,\n  \"workers\": {n_workers},\n  \"local_run_seconds\": {local_secs:.4},\n  \"distributed_run_seconds\": {distributed_secs:.4},\n  \"distributed_vs_local_speedup\": {distributed_speedup:.2},\n  \"distributed_rankings_identical\": true\n}}\n",
+        "{{\n  \"workload\": \"e5_county_scalability\",\n  \"rows\": {rows},\n  \"candidates\": {},\n  \"summaries_produced\": {produced},\n  \"naive_seconds\": {naive_secs:.4},\n  \"shared_seconds\": {shared_secs:.4},\n  \"naive_candidates_per_sec\": {naive_tput:.2},\n  \"shared_candidates_per_sec\": {shared_tput:.2},\n  \"speedup\": {speedup:.2},\n  \"gram_rows_per_sec\": {gram_rows_per_sec:.0},\n  \"moments_rows_per_sec\": {moments_rows_per_sec:.0},\n  \"kernel_vs_scalar_speedup\": {kernel_vs_scalar_speedup:.2},\n  \"moments_vs_scalar_speedup\": {moments_vs_scalar_speedup:.2},\n  \"parallel_search_seconds\": {parallel_secs:.4},\n  \"parallel_threads\": {},\n  \"ranked_summaries\": {},\n  \"distinct_summaries\": {},\n  \"session_cold_seconds\": {session_cold_secs:.4},\n  \"session_warm_seconds\": {session_warm_secs:.6},\n  \"session_warm_speedup\": {session_warm_speedup:.2},\n  \"compressed_bytes_per_row\": {compressed_bytes_per_row:.2},\n  \"compression_ratio\": {compression_ratio:.2},\n  \"zone_map_block_skip_frac\": {zone_map_block_skip_frac:.3},\n  \"sealed_run_seconds\": {sealed_secs:.4},\n  \"sealed_rankings_identical\": true\n}}\n",
         candidates.len(),
         stats.threads_used,
         ranked.len(),

@@ -72,7 +72,6 @@ pub mod config;
 pub mod ct;
 pub mod engine;
 pub mod error;
-pub mod executor;
 pub mod explain;
 pub mod features;
 pub mod manager;
@@ -94,7 +93,6 @@ pub use config::{CharlesConfig, PartitionMethod};
 pub use ct::ConditionalTransformation;
 pub use engine::{Charles, RunResult};
 pub use error::{CharlesError, QueryError, Result};
-pub use executor::{ExecutorFactory, LocalExecutor, ShardExecutor, SignalSlice};
 pub use explain::{explain_ct, explain_summary};
 pub use features::{augment, augment_table, FeatureSet};
 pub use manager::{DatasetSpec, DatasetStats, ManagerConfig, SessionManager};

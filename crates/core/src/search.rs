@@ -25,18 +25,17 @@ use crate::combi::bounded_subsets;
 use crate::config::CharlesConfig;
 use crate::ct::ConditionalTransformation;
 use crate::error::{CharlesError, Result};
-use crate::executor::{LocalExecutor, ShardExecutor};
 use crate::partition::{cluster_residuals, induce_partitions};
 use crate::score::ScoringContext;
 use crate::snap::snap_fit;
 use crate::summary::ChangeSummary;
 use crate::transform::{Term, Transformation};
 use charles_numerics::kernels;
-use charles_numerics::ols::{fit_constant, fit_from_parts, fit_ols_cols, ColumnMoments, LinearFit};
-use charles_relation::{AttrId, AttrRef, NumericView, RowRange, SnapshotPair, Table};
+use charles_numerics::ols::{fit_constant, fit_ols_cols, LinearFit};
+use charles_relation::{AttrId, AttrRef, NumericView, SnapshotPair, Table};
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 
 /// One point of the search space.
@@ -213,15 +212,6 @@ pub struct SearchContext<'a> {
     /// session-lifetime memo without bound. Fits and labelings are
     /// α-independent and always memoized.
     memoize_candidates: bool,
-    /// The shard execution plane (`None` = unsharded). When present,
-    /// global fits are computed from per-shard sufficient statistics —
-    /// phase-A moments, then phase-B blocked Gram partials — fetched from
-    /// the executor (in-process threads or remote workers) and merged on
-    /// the canonical block grid, bit-identical to the unsharded
-    /// computation; see [`SearchContext::with_executor`]. Statistics are
-    /// requested only when a fit actually misses the memo, so warm reruns
-    /// never touch the executor.
-    executor: Option<Arc<dyn ShardExecutor>>,
 }
 
 /// Memo key for one clustering request. Clustering depends only on the
@@ -323,36 +313,7 @@ impl<'a> SearchContext<'a> {
             scoring,
             caches,
             memoize_candidates,
-            executor: None,
         })
-    }
-
-    /// Attach a shard execution plane. Global fits that miss the memo
-    /// then fetch per-shard sufficient statistics from the executor —
-    /// phase-A moments, then phase-B blocked Gram statistics under the
-    /// merged scales — and merge them here; by the construction in
-    /// `charles_numerics::ols`, the merged fit is **byte-identical** to
-    /// the unsharded one, so everything downstream (residual clustering,
-    /// condition induction, scoring, ranking) is too. Warm (memoized)
-    /// fits never touch the executor.
-    // lint:allow(cache-invalidation: the shard-equivalence contract makes executor-computed fits byte-identical to unsharded ones, so swapping the execution plane cannot invalidate a memoized fit, labeling, or candidate)
-    pub fn with_executor(mut self, executor: Arc<dyn ShardExecutor>) -> Self {
-        self.executor = Some(executor);
-        self
-    }
-
-    /// Attach an in-process row-range shard layout over this context's
-    /// pair — sugar for [`SearchContext::with_executor`] with a
-    /// [`LocalExecutor`]. Boundaries must sit on the canonical Gram block
-    /// grid ([`RowRange::split_aligned`]).
-    pub fn with_shards(self, ranges: &[RowRange]) -> Self {
-        let executor = LocalExecutor::with_ranges(SnapshotPair::clone(self.pair), ranges.to_vec());
-        self.with_executor(Arc::new(executor))
-    }
-
-    /// Number of attached shard ranges (0 = unsharded).
-    pub fn shard_count(&self) -> usize {
-        self.executor.as_ref().map_or(0, |e| e.ranges().len())
     }
 
     /// Memoized clustering of one change signal.
@@ -417,11 +378,6 @@ impl<'a> SearchContext<'a> {
     /// The memoized global fit for a transformation subset. Candidates with
     /// the same `T` but different `(C, k)` share one OLS solve — and, on a
     /// session-owned plane, so do later runs.
-    ///
-    /// On an executor-backed context the fit is computed from per-shard
-    /// sufficient statistics merged on the canonical block grid (see
-    /// [`SearchContext::with_executor`]); the result — including *whether*
-    /// the fit is feasible — is bit-identical to the unsharded path.
     fn global_fit(&self, tran_attrs: &[AttrRef]) -> Result<Arc<Option<LinearFit>>> {
         let key: Vec<AttrId> = tran_attrs
             .iter()
@@ -430,53 +386,8 @@ impl<'a> SearchContext<'a> {
         memoized(&self.caches.fit_memo, (self.target_id, key), || {
             self.caches.fits_computed.fetch_add(1, Ordering::Relaxed);
             let cols = self.columns_for(tran_attrs)?;
-            let Some(executor) = &self.executor else {
-                return Ok(Arc::new(fit_ols_cols(&cols, &self.y_target).ok()));
-            };
-            Ok(Arc::new(self.distributed_global_fit(
-                executor.as_ref(),
-                tran_attrs,
-                &cols,
-            )?))
+            Ok(Arc::new(fit_ols_cols(&cols, &self.y_target).ok()))
         })
-    }
-
-    /// The executor-backed global fit: fetch phase-A moments per shard,
-    /// merge them (exact: `max`/`+`/`&&`), derive the conditioning scales
-    /// centrally, fetch phase-B blocked Gram statistics under those
-    /// scales, and solve here from the block-ordered fold. *Numeric*
-    /// infeasibility (too few rows, non-finite data, unsolvable systems)
-    /// maps to `Ok(None)` — exactly the cases where the central
-    /// `fit_ols_cols` fails — while executor/transport failures propagate
-    /// as hard errors so a dead worker can never masquerade as an
-    /// infeasible candidate.
-    fn distributed_global_fit(
-        &self,
-        executor: &dyn ShardExecutor,
-        tran_attrs: &[AttrRef],
-        full_cols: &[&[f64]],
-    ) -> Result<Option<LinearFit>> {
-        let names: Vec<String> = tran_attrs.iter().map(|a| a.name().to_string()).collect();
-        // Phase A: per-shard moments; the merge is exact.
-        let moments = executor.column_moments(self.target_attr, &names)?;
-        // All-empty layouts (zero-row pairs) have no parts to take the
-        // column count from; fail validation exactly like the central
-        // path does on zero rows.
-        let merged = if moments.is_empty() {
-            ColumnMoments {
-                rows: 0,
-                max_abs: vec![0.0; tran_attrs.len()],
-                finite: true,
-            }
-        } else {
-            ColumnMoments::merge(&moments)
-        };
-        let Ok(scales) = merged.validated_scales(tran_attrs.len()) else {
-            return Ok(None);
-        };
-        // Phase B: per-shard blocked Gram statistics on the canonical grid.
-        let parts = executor.gram_partials(self.target_attr, &names, &scales)?;
-        Ok(fit_from_parts(parts, &scales, full_cols, &self.y_target).ok())
     }
 }
 
@@ -1071,67 +982,65 @@ pub fn evaluate_candidate_naive(
 
 /// Evaluate all candidates (in parallel when configured), deduplicate, and
 /// rank by descending score.
+///
+/// The answer does not depend on the thread count or the thread schedule:
+/// each candidate's outcome lands in the slot of its index, and the merge
+/// reads the slots in candidate order. So among structurally identical
+/// summaries with equal scores the lowest candidate index survives, and a
+/// failing search reports the error of the lowest failing index — on any
+/// thread count, exactly as the sequential path does.
 pub fn run_search(
     ctx: &SearchContext<'_>,
     candidates: &[Candidate],
 ) -> Result<(Vec<ChangeSummary>, SearchStats)> {
     let threads = ctx.config.effective_threads().min(candidates.len().max(1));
-    let results: Mutex<Vec<ChangeSummary>> = Mutex::new(Vec::new());
-    let next = AtomicUsize::new(0);
-    let first_error: Mutex<Option<CharlesError>> = Mutex::new(None);
 
-    if threads <= 1 {
-        let mut local = Vec::new();
-        for candidate in candidates {
-            if let Some(summary) = evaluate_candidate(ctx, candidate)? {
-                local.push(summary);
-            }
-        }
-        *results.lock().unwrap_or_else(PoisonError::into_inner) = local;
+    let all: Vec<ChangeSummary> = if threads <= 1 {
+        candidates
+            .iter()
+            .map(|candidate| evaluate_candidate(ctx, candidate))
+            .filter_map(Result::transpose)
+            .collect::<Result<_>>()?
     } else {
+        let next = AtomicUsize::new(0);
+        let failed = AtomicBool::new(false);
+        let slots: Vec<Mutex<Option<Result<Option<ChangeSummary>>>>> =
+            candidates.iter().map(|_| Mutex::new(None)).collect();
         std::thread::scope(|scope| {
             for _ in 0..threads {
                 scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
+                    // After a failure, stop claiming. Indices are claimed in
+                    // increasing order, so every index below the failing one
+                    // is already claimed and its slot gets filled.
+                    while !failed.load(Ordering::Relaxed) {
                         let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= candidates.len() {
+                        let (Some(candidate), Some(slot)) = (candidates.get(i), slots.get(i))
+                        else {
                             break;
+                        };
+                        let outcome = evaluate_candidate(ctx, candidate);
+                        if outcome.is_err() {
+                            failed.store(true, Ordering::Relaxed);
                         }
-                        match evaluate_candidate(ctx, &candidates[i]) {
-                            Ok(Some(summary)) => local.push(summary),
-                            Ok(None) => {}
-                            Err(e) => {
-                                let mut slot =
-                                    first_error.lock().unwrap_or_else(PoisonError::into_inner);
-                                if slot.is_none() {
-                                    *slot = Some(e);
-                                }
-                                break;
-                            }
-                        }
+                        *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
                     }
-                    results
-                        .lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .extend(local);
                 });
             }
         });
-        if let Some(e) = first_error
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner)
-        {
-            return Err(e);
-        }
-    }
-
-    let mut all = results.into_inner().unwrap_or_else(PoisonError::into_inner);
+        // Empty slots lie past the lowest failure, where the merge stops.
+        slots
+            .into_iter()
+            .filter_map(|slot| slot.into_inner().unwrap_or_else(PoisonError::into_inner))
+            .filter_map(Result::transpose)
+            .collect::<Result<_>>()?
+    };
     let evaluated = all.len();
 
-    // Deduplicate by structural signature, keeping the best-scoring copy.
+    // Deduplicate by structural signature, keeping the best-scoring copy
+    // (on equal scores, the lowest candidate index: `all` is in candidate
+    // order and a later copy must score strictly higher to replace it).
     let mut best: HashMap<String, ChangeSummary> = HashMap::with_capacity(all.len());
-    for summary in all.drain(..) {
+    for summary in all {
         let sig = summary.signature();
         match best.get(&sig) {
             Some(existing) if existing.scores.score >= summary.scores.score => {}
@@ -1140,7 +1049,7 @@ pub fn run_search(
             }
         }
     }
-    // lint:allow(ordered-iteration: hash order is erased by the total-order sort below)
+    // lint:allow(ordered-iteration: which copy survives each signature is fixed by the candidate-index order above; the hash order of the survivors is erased by the total-order sort below)
     let mut ranked: Vec<ChangeSummary> = best.into_values().collect();
     let distinct = ranked.len();
     // Tie-breaks below the score: fewer CTs; then autoregressive

@@ -7,7 +7,7 @@
 //! 500 with no [`ErrorEnvelope`]. This pass seeds the call graph at the
 //! server's request-handling functions (every non-test `fn` in
 //! `crates/server/src` — `serve_connection`, `route`, `route_inner`,
-//! `dispatch`, the worker/remote plumbing) and walks the workspace call
+//! `dispatch`, the client) and walks the workspace call
 //! graph; every potential-panic site in a reachable function is a
 //! finding, carrying the seed → … → site call chain so the report shows
 //! *why* the site is on the request path.

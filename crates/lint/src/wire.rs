@@ -1,9 +1,8 @@
 //! Protocol-drift analysis over the wire surface.
 //!
-//! The protocol lives in four files — `proto.rs` (types + JSON codecs),
-//! `server.rs` (routes + `/v1/rpc` dispatch), `client.rs`, `remote.rs`
-//! (the coordinator's worker client) — and nothing but convention keeps
-//! them in step: an encoder can grow a key no decoder reads, an `op`
+//! The protocol lives in three files — `proto.rs` (types + JSON codecs),
+//! `server.rs` (routes + `/v1/rpc` dispatch) and `client.rs` — and
+//! nothing but convention keeps them in step: an encoder can grow a key no decoder reads, an `op`
 //! can gain an encode arm with no dispatch arm, an error-code string
 //! can fork between server and client. Schema-evolution tooling calls
 //! this IDL drift; this pass pins the repo's hand-rolled protocol the
@@ -42,7 +41,7 @@ const WIRE_VERSION: &str = "1";
 /// Every error code the protocol may put in an `ErrorEnvelope`. Adding a
 /// code is a protocol change: extend this table in the same PR so server
 /// and client cannot fork silently.
-const ERROR_CODES: [&str; 13] = [
+const ERROR_CODES: [&str; 12] = [
     "unknown_dataset",
     "unknown_target",
     "bad_query",
@@ -50,7 +49,6 @@ const ERROR_CODES: [&str; 13] = [
     "no_candidates",
     "bad_data",
     "internal",
-    "worker_unavailable",
     "bad_request",
     "overloaded",
     "dataset_unavailable",
@@ -64,7 +62,7 @@ fn is_p(t: &Tok, s: &str) -> bool {
 
 fn is_wire_file(rel: &str) -> bool {
     let base = rel.rsplit('/').next().unwrap_or(rel);
-    matches!(base, "proto.rs" | "server.rs" | "client.rs" | "remote.rs")
+    matches!(base, "proto.rs" | "server.rs" | "client.rs")
 }
 
 /// Keys and error codes are identifier-shaped; anything else (format

@@ -30,7 +30,7 @@ pub fn pearson(x: &[f64], y: &[f64]) -> Result<f64> {
     let mx = mean(x)?;
     let my = mean(y)?;
     // Center once, then reduce through the fixed-fold-order kernels so
-    // this screening statistic is bit-stable however the caller shards.
+    // this screening statistic is bit-stable however the caller splits rows.
     let dx: Vec<f64> = x.iter().map(|&a| a - mx).collect();
     let dy: Vec<f64> = y.iter().map(|&b| b - my).collect();
     let sxy = kernels::dot(&dx, &dy);

@@ -14,14 +14,13 @@
 //! - **Determinism.** Floating-point addition is not associative, so the
 //!   *order* of a fold is part of its result. Each kernel commits to one
 //!   canonical order (lane-strided accumulation, pairwise lane fold, tail
-//!   last) that depends only on the input slice — never on threads, shard
-//!   layouts, or call sites. Two calls on bit-identical slices return
+//!   last) that depends only on the input slice — never on threads, row
+//!   splits, or call sites. Two calls on bit-identical slices return
 //!   bit-identical results on every backend.
 //!
 //! The OLS pipeline ([`crate::ols`]) builds its per-block Gram statistics
 //! from [`dot`] over pre-scaled column windows, which is what makes the
-//! blocked fold the *one* canonical kernel for local, sharded, and
-//! distributed execution alike.
+//! blocked fold the *one* canonical kernel for every fit.
 //!
 //! Reductions that are exact regardless of order (`max`, `&&`) also use
 //! lanes ([`max_abs_finite`]) purely for speed: associativity makes any

@@ -8,23 +8,23 @@
 //!
 //! ## Mergeable sufficient statistics
 //!
-//! The fit is factored through *sufficient statistics* so it can be
-//! computed over row-range **shards** with bit-identical results:
+//! The fit is factored through *sufficient statistics* that can be
+//! computed over contiguous row ranges and merged with bit-identical
+//! results:
 //!
 //! 1. [`column_moments`] — row count, per-column max-|x|, finiteness.
 //!    Merging ([`ColumnMoments::merge`]) uses only `max`/`+`/`&&`, which
 //!    are exact regardless of how rows were split.
 //! 2. [`gram_partial`] — `XᵀX` and `Xᵀy` of the scaled design, accumulated
 //!    per **canonical block** of [`GRAM_BLOCK_ROWS`] rows. The block grid
-//!    is anchored at absolute row 0 and independent of any sharding, so a
-//!    shard whose boundaries sit on the grid produces exactly the block
-//!    sums the unsharded pass produces. [`fit_from_parts`] folds block
-//!    sums in block order — the same floating-point operations in the same
-//!    order no matter how many shards computed them.
+//!    is anchored at absolute row 0 and independent of how rows are
+//!    split, so a range whose boundaries sit on the grid produces exactly
+//!    the block sums the whole-range pass produces. [`fit_from_parts`]
+//!    folds block sums in block order — the same floating-point
+//!    operations in the same order no matter how many ranges computed
+//!    them.
 //!
-//! [`fit_ols_cols`] itself is the one-shard instance of this pipeline,
-//! which is what makes "sharded search is byte-identical to unsharded"
-//! a theorem about this module rather than a tolerance.
+//! [`fit_ols_cols`] is the one-range instance of this pipeline.
 //!
 //! ## Blocked kernels
 //!
@@ -36,10 +36,9 @@
 //! the autovectorizer turns into packed FMAs instead of the old scalar
 //! triangle walk. The kernel's fold order differs from the pre-PR-6
 //! scalar row walk (floating-point addition is not associative), so the
-//! blocked kernel is THE canonical accumulation everywhere — local,
-//! sharded, and distributed execution all call this one function on the
-//! same canonical blocks, keeping the bit-identical merge contract true
-//! by construction. The retained [`gram_partial_scalar`] /
+//! blocked kernel is THE canonical accumulation everywhere: every fit
+//! calls this one function on the same canonical blocks, keeping the
+//! bit-identical merge contract true by construction. The retained [`gram_partial_scalar`] /
 //! [`column_moments_scalar`] are the pre-kernel reference used by benches
 //! and differential tests (agreement within tolerance, not bits).
 
@@ -48,17 +47,14 @@ use crate::kernels;
 use crate::matrix::Matrix;
 use crate::solve::solve_cholesky;
 
-/// Rows per canonical accumulation block of the Gram statistics. Shard
-/// boundaries must be multiples of this (see
-/// `charles_relation::RowRange::split_aligned`) for bit-exact merges.
-/// A multiple of [`kernels::LANES`], so full blocks have no sub-lane tail.
+/// Rows per canonical accumulation block of the Gram statistics. Row-range
+/// boundaries must be multiples of this for bit-exact merges. A multiple
+/// of [`kernels::LANES`], so full blocks have no sub-lane tail.
 ///
 /// The relation plane's compressed column blocks
 /// (`charles_relation::GRAM_BLOCK_ROWS`) sit on the *same* 128-row grid:
-/// sealed columns decode per block, zone maps prune per block, and shard
-/// boundaries land on block edges — so a sharded fit over sealed columns
-/// folds exactly the bytes the unsharded raw fit folds. The two constants
-/// are pinned equal by a compile-time assert in `charles-core`.
+/// sealed columns decode per block and zone maps prune per block. The two
+/// constants are pinned equal by a compile-time assert in `charles-core`.
 pub const GRAM_BLOCK_ROWS: usize = 128;
 
 const _: () = assert!(GRAM_BLOCK_ROWS.is_multiple_of(kernels::LANES));
@@ -169,7 +165,7 @@ pub fn fit_ols(columns: &[Vec<f64>], y: &[f64]) -> Result<LinearFit> {
 /// search hot path hands borrowed column views straight in, without
 /// cloning whole columns per candidate.
 ///
-/// Internally this is exactly the sharded pipeline with a single shard:
+/// Internally this is the mergeable-statistics pipeline over one range:
 /// [`column_moments`] → [`gram_partial`] over the whole range →
 /// [`fit_from_parts`].
 pub fn fit_ols_cols(columns: &[&[f64]], y: &[f64]) -> Result<LinearFit> {
@@ -309,11 +305,9 @@ pub struct GramBlock {
 }
 
 impl GramBlock {
-    /// Reassemble a block from its raw sums — the deserialization entry
-    /// point for shard statistics that crossed a process or machine
-    /// boundary. The caller is responsible for having round-tripped the
-    /// floats exactly (`f64::to_bits`); any rounding here would break the
-    /// bit-identical merge contract.
+    /// Reassemble a block from its raw sums. Any rounding of the sums
+    /// before they get here would break the bit-identical merge
+    /// contract.
     pub fn new(xtx: Vec<f64>, xty: Vec<f64>) -> Self {
         GramBlock { xtx, xty }
     }
@@ -368,8 +362,8 @@ impl GramPartial {
 ///    partial sums folded in a fixed order at block end.
 ///
 /// The accumulation order inside a block depends only on the block's
-/// data — never on the caller — so a shard whose boundaries sit on the
-/// canonical grid produces exactly the block sums the unsharded pass
+/// data — never on the caller — so a range whose boundaries sit on the
+/// canonical grid produces exactly the block sums the whole-range pass
 /// produces, kernel or not. ([`gram_partial_scalar`] keeps the pre-kernel
 /// row-walk order as a tolerance reference.)
 pub fn gram_partial(
@@ -482,7 +476,7 @@ pub fn gram_partial_scalar(
 /// order), Cholesky with the ridge ladder, unscale the coefficients, and
 /// compute residuals/R² over the full columns.
 ///
-/// `columns`/`y` are the **full** (unsharded) data — residual computation
+/// `columns`/`y` are the **full** data — residual computation
 /// is elementwise, so it needs no blocking to stay exact.
 pub fn fit_from_parts(
     mut parts: Vec<GramPartial>,
@@ -744,7 +738,7 @@ mod tests {
             let central = fit_ols_cols(&cols, &y).unwrap();
 
             for shards in [1usize, 2, 3, 7, 64] {
-                // Block-aligned boundaries, mirroring RowRange::split_aligned.
+                // Block-aligned boundaries: whole blocks spread near-equally.
                 let n_blocks = n.div_ceil(GRAM_BLOCK_ROWS);
                 let bounds: Vec<(usize, usize)> = (0..shards)
                     .map(|i| {

@@ -2,11 +2,11 @@
 //!
 //! Three contracts, mirroring the module docs in `ols.rs`:
 //!
-//! 1. **Kernel vs itself, across shard splits: bit-identical.** Splitting
+//! 1. **Kernel vs itself, across row splits: bit-identical.** Splitting
 //!    the rows at any block-aligned boundary and concatenating the
-//!    per-shard `GramPartial` blocks must reproduce the unsharded blocks
+//!    per-range `GramPartial` blocks must reproduce the whole-range blocks
 //!    to the last bit — and the merged fit must match the central fit on
-//!    `f64::to_bits`. This is the repo's distributed-equivalence contract.
+//!    `f64::to_bits`.
 //! 2. **Moments kernel vs the retained scalar reference: bit-identical on
 //!    every input**, including NaN/∞ and all-zero columns — `max` and `&&`
 //!    are exact under any fold order.
@@ -46,7 +46,7 @@ fn row_count() -> impl Strategy<Value = usize> {
     ]
 }
 
-/// Block-aligned shard bounds, mirroring `RowRange::split_aligned`.
+/// Block-aligned row-range bounds: whole blocks spread near-equally.
 fn aligned_bounds(n: usize, shards: usize) -> Vec<(usize, usize)> {
     let n_blocks = n.div_ceil(GRAM_BLOCK_ROWS);
     (0..shards)

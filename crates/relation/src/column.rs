@@ -208,7 +208,7 @@ impl Column {
     /// dictionary, and validity mask). `Arc`-shared buffers are counted
     /// **once per allocation** within this call (a column aliasing its own
     /// buffers is not inflated); to deduplicate across several holders —
-    /// tables of an aligned pair, shards of a split — thread one seen-set
+    /// tables of an aligned pair, views of a session — thread one seen-set
     /// through [`Column::approx_bytes_dedup`] instead.
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes_dedup(&mut HashSet::new())
@@ -216,8 +216,7 @@ impl Column {
 
     /// [`Column::approx_bytes`] with deduplication by allocation identity:
     /// each `Arc` buffer is charged only the first time its address enters
-    /// `seen`, so holders sharing storage (aligned snapshots, shards,
-    /// views) sum to the true resident footprint instead of a multiple of
+    /// `seen`, so holders sharing storage (aligned snapshots, views) sum to the true resident footprint instead of a multiple of
     /// it. Not an exact allocator measurement.
     pub fn approx_bytes_dedup(&self, seen: &mut HashSet<usize>) -> usize {
         fn note<T>(seen: &mut HashSet<usize>, arc: &Arc<T>, bytes: usize) -> usize {

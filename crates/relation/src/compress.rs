@@ -3,9 +3,8 @@
 //!
 //! A [`CompressedColumn`] stores a column's value buffer as a sequence of
 //! independently encoded blocks on the canonical [`GRAM_BLOCK_ROWS`]-row
-//! grid (the same grid the numerics crate's blocked reductions and the
-//! shard splitter use, so decoded windows line up with every downstream
-//! consumer). Encodings are chosen per block by byte cost:
+//! grid (the same grid the numerics crate's blocked reductions use, so
+//! decoded windows line up with every downstream consumer). Encodings are chosen per block by byte cost:
 //!
 //! - **floats** — constant blocks, delta/bitpack when every value is
 //!   exactly integer-representable (payroll-style rounded figures), raw
@@ -327,11 +326,9 @@ impl CodeBlock {
                     out.extend(std::iter::repeat_n(code, n as usize));
                 }
             }
-            CodeBlock::Packed {
-                width,
-                len,
-                packed,
-            } => out.extend((0..*len).map(|i| unpack_bits(packed, *width, i) as u32)),
+            CodeBlock::Packed { width, len, packed } => {
+                out.extend((0..*len).map(|i| unpack_bits(packed, *width, i) as u32))
+            }
         }
     }
 
@@ -787,7 +784,9 @@ impl CompressedColumn {
     /// like an out-of-variant field access would).
     pub(crate) fn float_slot(&self, i: usize) -> f64 {
         match &self.plane {
-            Plane::Floats { blocks, decoded, .. } => match decoded.get() {
+            Plane::Floats {
+                blocks, decoded, ..
+            } => match decoded.get() {
                 Some(buf) => buf[i],
                 None => blocks[i / GRAM_BLOCK_ROWS].get(i % GRAM_BLOCK_ROWS),
             },
@@ -799,7 +798,9 @@ impl CompressedColumn {
     /// Raw `i64` slot value (Ints plane only).
     pub(crate) fn int_slot(&self, i: usize) -> i64 {
         match &self.plane {
-            Plane::Ints { blocks, decoded, .. } => match decoded.get() {
+            Plane::Ints {
+                blocks, decoded, ..
+            } => match decoded.get() {
                 Some(buf) => buf[i],
                 None => blocks[i / GRAM_BLOCK_ROWS].get(i % GRAM_BLOCK_ROWS),
             },
@@ -811,7 +812,9 @@ impl CompressedColumn {
     /// Raw code slot value (Codes plane only).
     pub(crate) fn code_slot(&self, i: usize) -> u32 {
         match &self.plane {
-            Plane::Codes { blocks, decoded, .. } => match decoded.get() {
+            Plane::Codes {
+                blocks, decoded, ..
+            } => match decoded.get() {
                 Some(buf) => buf[i],
                 None => blocks[i / GRAM_BLOCK_ROWS].get(i % GRAM_BLOCK_ROWS),
             },
@@ -977,9 +980,7 @@ impl CompressedColumn {
     pub fn between_mask(&self, lo: f64, hi: f64) -> Option<Vec<bool>> {
         self.numeric_blocks_mask(
             |zone| classify_between(zone, lo, hi),
-            move |v| {
-                v.total_cmp(&lo) != Ordering::Less && v.total_cmp(&hi) == Ordering::Less
-            },
+            move |v| v.total_cmp(&lo) != Ordering::Less && v.total_cmp(&hi) == Ordering::Less,
         )
     }
 
@@ -1348,9 +1349,7 @@ mod tests {
         let mask = col.between_mask(10.0, 60.0).unwrap();
         let expect: Vec<bool> = values
             .iter()
-            .map(|&v| {
-                v.total_cmp(&10.0) != Ordering::Less && v.total_cmp(&60.0) == Ordering::Less
-            })
+            .map(|&v| v.total_cmp(&10.0) != Ordering::Less && v.total_cmp(&60.0) == Ordering::Less)
             .collect();
         assert_eq!(mask, expect);
     }

@@ -201,7 +201,7 @@ pub fn read_csv<R: Read>(reader: R) -> Result<Table> {
             }
             continue;
         }
-        let rec = parse_record(&line, i + 2)?;
+        let rec = parse_record(line, i + 2)?;
         if rec.len() != width {
             return Err(RelationError::CsvParse {
                 line: i + 2,

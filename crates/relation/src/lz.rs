@@ -30,12 +30,7 @@ const HASH_BITS: u32 = 16;
 
 /// Hash the 4 bytes at `pos` into a table index.
 fn hash4(input: &[u8], pos: usize) -> usize {
-    let quad = u32::from_le_bytes([
-        input[pos],
-        input[pos + 1],
-        input[pos + 2],
-        input[pos + 3],
-    ]);
+    let quad = u32::from_le_bytes([input[pos], input[pos + 1], input[pos + 2], input[pos + 3]]);
     (quad.wrapping_mul(0x9E37_79B1) >> (32 - HASH_BITS)) as usize
 }
 
@@ -159,7 +154,11 @@ mod tests {
         roundtrip(b"a");
         roundtrip(b"abcd");
         roundtrip(&[0u8; 1000]);
-        roundtrip("Anne Smith,Bob Smith,Anne Jones,Bob Jones,".repeat(50).as_bytes());
+        roundtrip(
+            "Anne Smith,Bob Smith,Anne Jones,Bob Jones,"
+                .repeat(50)
+                .as_bytes(),
+        );
         let mixed: Vec<u8> = (0..4096u32)
             .map(|i| (i.wrapping_mul(2_654_435_761)) as u8)
             .collect();

@@ -307,9 +307,7 @@ impl Predicate {
                     // blocks; decoded blocks apply the identical total-order
                     // test, so the cleared mask matches the raw path
                     // bit-for-bit.
-                    (Column::Compressed { data, .. }, Some(lo), Some(hi))
-                        if data.is_numeric() =>
-                    {
+                    (Column::Compressed { data, .. }, Some(lo), Some(hi)) if data.is_numeric() => {
                         match data.between_mask(lo, hi) {
                             Some(mut mask) => {
                                 Self::clear_nulls(col, &mut mask);
@@ -348,9 +346,7 @@ impl Predicate {
                 // over the decoded codes and the sealed pool.
                 if let Column::Compressed { data, .. } = col {
                     if values.iter().all(|v| matches!(v, Value::Str(_))) {
-                        if let (Some(Ok(dict)), Some(codes)) =
-                            (data.dict(), data.decode_codes())
-                        {
+                        if let (Some(Ok(dict)), Some(codes)) = (data.dict(), data.decode_codes()) {
                             let mut member = vec![false; dict.len()];
                             for v in values {
                                 if let Some(code) = v.as_str().and_then(|s| dict.code_of(s)) {

@@ -133,7 +133,7 @@ impl Table {
     /// Approximate resident bytes of all column storage (see
     /// [`Column::approx_bytes`]). `Arc`-aliased buffers are counted once
     /// per allocation within this table; to deduplicate across tables that
-    /// share storage (aligned pairs, shards) thread one seen-set through
+    /// share storage (aligned pairs) thread one seen-set through
     /// [`Table::approx_bytes_dedup`].
     pub fn approx_bytes(&self) -> usize {
         self.approx_bytes_dedup(&mut std::collections::HashSet::new())

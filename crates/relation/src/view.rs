@@ -9,9 +9,8 @@
 //!
 //! Views also carry a *window*: [`NumericView::slice`] and
 //! [`CodesView::slice`] narrow a view to a [`RowRange`] without touching
-//! the shared buffer, which is what makes row-range **sharding** of the
-//! search nearly free — a shard is just a set of windows over the same
-//! `Arc`-backed columns.
+//! the shared buffer — a window is just a range over the same
+//! `Arc`-backed column.
 //!
 //! [`CodeGroups`] is the group-by companion: rows grouped directly by
 //! dictionary code, with no string materialization or hashing in the loop.
@@ -20,8 +19,8 @@ use crate::column::StrDict;
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// A half-open range of row indices `[start, end)` — the currency of
-/// row-range sharding.
+/// A half-open range of row indices `[start, end)`, as taken by the
+/// views' `slice` windows.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct RowRange {
     /// First row of the range.
@@ -47,32 +46,6 @@ impl RowRange {
     /// Whether the range holds no rows.
     pub fn is_empty(&self) -> bool {
         self.start >= self.end
-    }
-
-    /// Split `[0, n_rows)` into `n_shards` contiguous ranges whose
-    /// boundaries (except the final `n_rows`) are multiples of `align`.
-    ///
-    /// Alignment is what lets shard-local *blocked* reductions merge
-    /// bit-exactly: when every boundary sits on the reduction's block
-    /// grid, no block straddles two shards, so the merged fold visits the
-    /// identical block sums in the identical order regardless of shard
-    /// count. Whole blocks are distributed near-equally; with more shards
-    /// than blocks the trailing ranges are empty (`[n, n)`), which callers
-    /// must tolerate — an empty shard simply contributes nothing.
-    pub fn split_aligned(n_rows: usize, n_shards: usize, align: usize) -> Vec<RowRange> {
-        let n_shards = n_shards.max(1);
-        let align = align.max(1);
-        let n_blocks = n_rows.div_ceil(align);
-        (0..n_shards)
-            .map(|i| {
-                let lo_block = i * n_blocks / n_shards;
-                let hi_block = (i + 1) * n_blocks / n_shards;
-                RowRange::new(
-                    (lo_block * align).min(n_rows),
-                    (hi_block * align).min(n_rows),
-                )
-            })
-            .collect()
     }
 }
 
@@ -428,33 +401,6 @@ mod tests {
         assert_eq!(grouped.n_groups(), 3); // x, z, null
         assert!(grouped.has_null_group());
         assert_eq!(grouped.labels.len(), 3);
-    }
-
-    #[test]
-    fn row_range_split_aligned_covers_and_aligns() {
-        for (rows, shards, align) in [
-            (1000usize, 3usize, 128usize),
-            (1000, 7, 128),
-            (1000, 1, 128),
-            (100, 4, 128), // fewer blocks than shards → empty shards
-            (0, 3, 128),   // empty table
-            (257, 2, 128),
-            (5, 3, 1),
-        ] {
-            let ranges = RowRange::split_aligned(rows, shards, align);
-            assert_eq!(ranges.len(), shards.max(1));
-            // Contiguous cover of [0, rows).
-            assert_eq!(ranges.first().unwrap().start, 0);
-            assert_eq!(ranges.last().unwrap().end, rows);
-            for w in ranges.windows(2) {
-                assert_eq!(w[0].end, w[1].start, "ranges must be contiguous");
-            }
-            // Interior boundaries sit on the block grid.
-            for r in &ranges {
-                assert!(r.start % align == 0, "{rows}/{shards}/{align}: {r:?}");
-                assert!(r.end % align == 0 || r.end == rows);
-            }
-        }
     }
 
     #[test]

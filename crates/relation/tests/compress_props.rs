@@ -56,10 +56,7 @@ fn str_value() -> BoxedStrategy<Value> {
 
 /// A column of `dtype` cells, long enough to span several 128-row blocks
 /// plus a partial tail.
-fn column_of(
-    dtype: DataType,
-    cell: BoxedStrategy<Value>,
-) -> impl Strategy<Value = Column> {
+fn column_of(dtype: DataType, cell: BoxedStrategy<Value>) -> impl Strategy<Value = Column> {
     proptest::collection::vec(cell, 0..(3 * GRAM_BLOCK_ROWS + 7))
         .prop_map(move |vals| Column::from_values(dtype, &vals).unwrap())
 }

@@ -66,8 +66,8 @@ pub fn http_request(
 /// read sees EOF/reset before a single response byte. Both mean no
 /// response was consumed, so the client transparently reconnects to the
 /// same address and retries the request **once**. Long-lived channels
-/// (a distributed coordinator holding worker connections for minutes
-/// between queries) rely on this. A failure *after* response bytes
+/// (a benchmark or UI holding one connection across idle gaps) rely on
+/// this. A failure *after* response bytes
 /// arrived is never retried — the stream is ambiguous at that point and
 /// the error surfaces to the caller.
 pub struct HttpClient {

@@ -9,12 +9,14 @@
 //!   full `Vec<f64>` copies) and refits the global regression
 //!   ([`charles_core::search::evaluate_candidate_naive`]);
 //! - **shared** — the zero-copy plane: one [`SearchContext`] holds
-//!   `Arc`-shared column views and a global-fit memo keyed by interned
+//!   `Arc`-shared column views plus the memos candidates share: global
+//!   fits, labelings, CART trees and partition fits, keyed by interned
 //!   attribute ids; candidates only read.
 //!
 //! Both paths produce identical summaries (asserted here and in the core
-//! test suite); the JSON records the throughput of each plus the speedup,
-//! seeding the perf trajectory for later PRs.
+//! test suite). The two run alternately [`AB_REPS`] times, each shared run
+//! on a fresh context; the speedup is the median of the per-repetition
+//! naive/shared time ratios, and the JSON records every sample.
 //!
 //! A third section measures the **session** mode: a cold one-shot
 //! `Charles::run` against a warm rerun of the identical query on a
@@ -46,6 +48,27 @@ use charles_numerics::ols::{
 use charles_synth::county;
 use std::hint::black_box;
 use std::time::Instant;
+
+/// Alternating shared/naive repetitions behind the reported speedup.
+const AB_REPS: usize = 5;
+
+/// Median of a non-empty sample.
+fn median(samples: &[f64]) -> f64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    let mid = sorted.len() / 2;
+    if sorted.len() % 2 == 1 {
+        sorted[mid]
+    } else {
+        (sorted[mid - 1] + sorted[mid]) / 2.0
+    }
+}
+
+/// Render samples as a JSON array.
+fn json_array(samples: &[f64], decimals: usize) -> String {
+    let items: Vec<String> = samples.iter().map(|v| format!("{v:.decimals$}")).collect();
+    format!("[{}]", items.join(", "))
+}
 
 fn main() {
     let rows: usize = std::env::args()
@@ -82,39 +105,51 @@ fn main() {
         candidates.len()
     );
 
-    // Shared zero-copy plane: one context, candidates only read.
-    let started = Instant::now();
-    let ctx = SearchContext::new(&pair, target, &tran_names, &config).expect("context");
-    let shared: Vec<_> = candidates
-        .iter()
-        .map(|c| evaluate_candidate(&ctx, c).expect("evaluate"))
-        .collect();
-    let shared_secs = started.elapsed().as_secs_f64();
-
-    // Naive plane: per-candidate extraction + refit, as in the seed.
-    let started = Instant::now();
-    let naive: Vec<_> = candidates
-        .iter()
-        .map(|c| evaluate_candidate_naive(&pair, target, c, &config).expect("evaluate"))
-        .collect();
-    let naive_secs = started.elapsed().as_secs_f64();
-
-    // The two planes must agree summary-for-summary.
+    // Shared zero-copy plane (one fresh context per repetition, candidates
+    // only read) alternating with the naive plane (per-candidate
+    // extraction + refit, as in the seed).
+    let (mut shared_samples, mut naive_samples, mut speedup_samples) =
+        (Vec::new(), Vec::new(), Vec::new());
     let mut produced = 0usize;
-    for (i, (s, n)) in shared.iter().zip(naive.iter()).enumerate() {
-        match (s, n) {
-            (None, None) => {}
-            (Some(s), Some(n)) => {
-                assert_eq!(
-                    s.signature(),
-                    n.signature(),
-                    "data planes disagree on candidate {i}"
-                );
-                produced += 1;
+    for _ in 0..AB_REPS {
+        let started = Instant::now();
+        let ctx = SearchContext::new(&pair, target, &tran_names, &config).expect("context");
+        let shared: Vec<_> = candidates
+            .iter()
+            .map(|c| evaluate_candidate(&ctx, c).expect("evaluate"))
+            .collect();
+        let shared_secs = started.elapsed().as_secs_f64();
+
+        let started = Instant::now();
+        let naive: Vec<_> = candidates
+            .iter()
+            .map(|c| evaluate_candidate_naive(&pair, target, c, &config).expect("evaluate"))
+            .collect();
+        let naive_secs = started.elapsed().as_secs_f64();
+
+        // The two planes must agree summary-for-summary.
+        produced = 0;
+        for (i, (s, n)) in shared.iter().zip(naive.iter()).enumerate() {
+            match (s, n) {
+                (None, None) => {}
+                (Some(s), Some(n)) => {
+                    assert_eq!(
+                        s.signature(),
+                        n.signature(),
+                        "data planes disagree on candidate {i}"
+                    );
+                    produced += 1;
+                }
+                _ => panic!("data planes disagree on candidate {i} feasibility"),
             }
-            _ => panic!("data planes disagree on candidate {i} feasibility"),
         }
+        shared_samples.push(shared_secs);
+        naive_samples.push(naive_secs);
+        speedup_samples.push(naive_secs / shared_secs.max(1e-12));
     }
+    let shared_secs = median(&shared_samples);
+    let naive_secs = median(&naive_samples);
+    let speedup = median(&speedup_samples);
 
     // Kernel microbench: the blocked statistics kernels (PR 6) against
     // their retained scalar references, on the same e5 design the search
@@ -352,10 +387,12 @@ fn main() {
     let n_cands = candidates.len() as f64;
     let shared_tput = n_cands / shared_secs;
     let naive_tput = n_cands / naive_secs;
-    let speedup = shared_tput / naive_tput;
     let json = format!(
-        "{{\n  \"workload\": \"e5_county_scalability\",\n  \"rows\": {rows},\n  \"candidates\": {},\n  \"summaries_produced\": {produced},\n  \"naive_seconds\": {naive_secs:.4},\n  \"shared_seconds\": {shared_secs:.4},\n  \"naive_candidates_per_sec\": {naive_tput:.2},\n  \"shared_candidates_per_sec\": {shared_tput:.2},\n  \"speedup\": {speedup:.2},\n  \"gram_rows_per_sec\": {gram_rows_per_sec:.0},\n  \"moments_rows_per_sec\": {moments_rows_per_sec:.0},\n  \"kernel_vs_scalar_speedup\": {kernel_vs_scalar_speedup:.2},\n  \"moments_vs_scalar_speedup\": {moments_vs_scalar_speedup:.2},\n  \"parallel_search_seconds\": {parallel_secs:.4},\n  \"parallel_threads\": {},\n  \"ranked_summaries\": {},\n  \"distinct_summaries\": {},\n  \"session_cold_seconds\": {session_cold_secs:.4},\n  \"session_warm_seconds\": {session_warm_secs:.6},\n  \"session_warm_speedup\": {session_warm_speedup:.2},\n  \"compressed_bytes_per_row\": {compressed_bytes_per_row:.2},\n  \"compression_ratio\": {compression_ratio:.2},\n  \"zone_map_block_skip_frac\": {zone_map_block_skip_frac:.3},\n  \"sealed_run_seconds\": {sealed_secs:.4},\n  \"sealed_rankings_identical\": true\n}}\n",
+        "{{\n  \"workload\": \"e5_county_scalability\",\n  \"rows\": {rows},\n  \"candidates\": {},\n  \"summaries_produced\": {produced},\n  \"naive_seconds\": {naive_secs:.4},\n  \"shared_seconds\": {shared_secs:.4},\n  \"naive_candidates_per_sec\": {naive_tput:.2},\n  \"shared_candidates_per_sec\": {shared_tput:.2},\n  \"speedup\": {speedup:.2},\n  \"naive_seconds_samples\": {},\n  \"shared_seconds_samples\": {},\n  \"speedup_samples\": {},\n  \"gram_rows_per_sec\": {gram_rows_per_sec:.0},\n  \"moments_rows_per_sec\": {moments_rows_per_sec:.0},\n  \"kernel_vs_scalar_speedup\": {kernel_vs_scalar_speedup:.2},\n  \"moments_vs_scalar_speedup\": {moments_vs_scalar_speedup:.2},\n  \"parallel_search_seconds\": {parallel_secs:.4},\n  \"parallel_threads\": {},\n  \"ranked_summaries\": {},\n  \"distinct_summaries\": {},\n  \"session_cold_seconds\": {session_cold_secs:.4},\n  \"session_warm_seconds\": {session_warm_secs:.6},\n  \"session_warm_speedup\": {session_warm_speedup:.2},\n  \"compressed_bytes_per_row\": {compressed_bytes_per_row:.2},\n  \"compression_ratio\": {compression_ratio:.2},\n  \"zone_map_block_skip_frac\": {zone_map_block_skip_frac:.3},\n  \"sealed_run_seconds\": {sealed_secs:.4},\n  \"sealed_rankings_identical\": true\n}}\n",
         candidates.len(),
+        json_array(&naive_samples, 4),
+        json_array(&shared_samples, 4),
+        json_array(&speedup_samples, 2),
         stats.threads_used,
         ranked.len(),
         stats.distinct,
@@ -363,7 +400,7 @@ fn main() {
     std::fs::write("BENCH_search.json", &json).expect("write BENCH_search.json");
     print!("{json}");
     eprintln!(
-        "speedup (shared vs naive, single-threaded): {speedup:.2}x; \
+        "speedup (shared vs naive, single-threaded, median of {AB_REPS}): {speedup:.2}x; \
          warm session rerun vs cold run: {session_warm_speedup:.2}x — wrote BENCH_search.json"
     );
     assert!(

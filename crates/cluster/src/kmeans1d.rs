@@ -1,84 +1,29 @@
 //! Exact 1-D k-means by dynamic programming.
 //!
 //! ChARLES clusters *residuals from a global regression fit* — a 1-D
-//! problem — to find candidate partitions. In one dimension, optimal
-//! k-means is solvable exactly in `O(k · n²)` with prefix sums over the
-//! sorted values (the clusters of an optimal solution are contiguous in
-//! sorted order). Exactness matters here: Lloyd's algorithm on residuals
-//! can merge the small, semantically distinct residual groups that
-//! correspond to different latent update rules.
+//! problem — to find candidate partitions. In one dimension the clusters
+//! of an optimal solution are contiguous in sorted order, so optimal
+//! k-means is a dynamic program over prefix lengths with `O(1)` range
+//! costs from prefix sums. Exactness matters here: Lloyd's algorithm on
+//! residuals can merge the small, semantically distinct residual groups
+//! that correspond to different latent update rules.
+//!
+//! Each DP layer is filled by divide and conquer over the monotone optimal
+//! split points (Grønlund et al. 2017, arXiv:1701.07204), so the whole
+//! clustering costs `O(k · n log n)` and is exact at every `n`.
 
 use crate::error::{ClusterError, Result};
 use crate::kmeans::KMeansResult;
 
-/// Inputs longer than this are clustered via a quantile subsample (the DP
-/// is O(k·n²)); the subsample of this size keeps boundaries within one
-/// quantile step of optimal while making large-n clustering O(k·s²+n·k).
-const MAX_EXACT_POINTS: usize = 2048;
-
 /// Cluster scalar `values` into exactly `k` groups, minimizing
-/// within-cluster sum of squared deviations. Exact (dynamic programming)
-/// up to [`MAX_EXACT_POINTS`] inputs; above that, the optimal clustering
-/// of an evenly-strided quantile subsample is extended to all points by
-/// nearest-centroid assignment. Returns assignments aligned with the input
-/// order and 1-D centroids.
+/// within-cluster sum of squared deviations. Exact at every input size.
+/// Returns assignments aligned with the input order, cluster ids ordered
+/// by value, and 1-D centroids.
+///
+/// Ties between equally good split points resolve to the leftmost one
+/// (the smallest prefix for the earlier clusters), so the result is a pure
+/// function of the input multiset and its order.
 pub fn kmeans_1d(values: &[f64], k: usize) -> Result<KMeansResult> {
-    if values.len() > MAX_EXACT_POINTS && k >= 1 {
-        return kmeans_1d_sampled(values, k);
-    }
-    kmeans_1d_exact(values, k)
-}
-
-/// Large-n path: exact DP on a sorted quantile subsample, then
-/// nearest-centroid assignment of every point.
-fn kmeans_1d_sampled(values: &[f64], k: usize) -> Result<KMeansResult> {
-    if k == 0 {
-        return Err(ClusterError::InvalidParameter("k must be ≥ 1".into()));
-    }
-    if values.iter().any(|v| !v.is_finite()) {
-        return Err(ClusterError::NonFinite);
-    }
-    let mut sorted = values.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let stride = sorted.len().div_ceil(MAX_EXACT_POINTS).max(1);
-    let sample: Vec<f64> = sorted.iter().step_by(stride).copied().collect();
-    let sub = kmeans_1d_exact(&sample, k.min(sample.len()))?;
-    // Centroids are value-ordered; assign by nearest midpoint boundary.
-    let centers: Vec<f64> = sub.centroids.iter().map(|c| c[0]).collect();
-    let boundaries: Vec<f64> = centers.windows(2).map(|w| (w[0] + w[1]) / 2.0).collect();
-    let assign = |v: f64| -> usize { boundaries.iter().take_while(|&&b| v >= b).count() };
-    let assignments: Vec<usize> = values.iter().map(|&v| assign(v)).collect();
-    // Recompute centroids and inertia over the full data.
-    let kk = centers.len();
-    let mut sums = vec![0.0; kk];
-    let mut counts = vec![0usize; kk];
-    for (&v, &a) in values.iter().zip(assignments.iter()) {
-        // lint:allow(float-fold-order: cluster-internal accumulation in fixed row order, coordinator-local)
-        sums[a] += v;
-        counts[a] += 1;
-    }
-    let centroids: Vec<Vec<f64>> = sums
-        .iter()
-        .zip(counts.iter())
-        .zip(centers.iter())
-        .map(|((&s, &c), &fallback)| vec![if c > 0 { s / c as f64 } else { fallback }])
-        .collect();
-    let inertia = values
-        .iter()
-        .zip(assignments.iter())
-        .map(|(&v, &a)| (v - centroids[a][0]).powi(2))
-        // lint:allow(float-fold-order: cluster-internal accumulation in fixed row order, coordinator-local)
-        .sum();
-    Ok(KMeansResult {
-        assignments,
-        centroids,
-        inertia,
-        iterations: 1,
-    })
-}
-
-/// Exact DP (Wang & Song style) — optimal 1-D k-means.
-fn kmeans_1d_exact(values: &[f64], k: usize) -> Result<KMeansResult> {
     if k == 0 {
         return Err(ClusterError::InvalidParameter("k must be ≥ 1".into()));
     }
@@ -94,45 +39,31 @@ fn kmeans_1d_exact(values: &[f64], k: usize) -> Result<KMeansResult> {
     let mut order: Vec<usize> = (0..n).collect();
     order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
     let sorted: Vec<f64> = order.iter().map(|&i| values[i]).collect();
+    let costs = RangeCosts::new(&sorted);
 
-    // Prefix sums for O(1) within-cluster cost of any range.
-    let mut prefix = vec![0.0; n + 1];
-    let mut prefix_sq = vec![0.0; n + 1];
-    for (i, &v) in sorted.iter().enumerate() {
-        prefix[i + 1] = prefix[i] + v;
-        prefix_sq[i + 1] = prefix_sq[i] + v * v;
-    }
-    // Cost of clustering sorted[i..j] (exclusive j) into one cluster.
-    let range_cost = |i: usize, j: usize| -> f64 {
-        let len = (j - i) as f64;
-        if len <= 0.0 {
-            return 0.0;
-        }
-        let s = prefix[j] - prefix[i];
-        let sq = prefix_sq[j] - prefix_sq[i];
-        (sq - s * s / len).max(0.0)
-    };
-
-    // DP over (clusters used, prefix length): cost[c][j] = best cost of
-    // clustering the first j sorted values into c clusters.
-    let inf = f64::INFINITY;
-    let mut cost = vec![vec![inf; n + 1]; k + 1];
-    let mut split = vec![vec![0usize; n + 1]; k + 1];
-    cost[0][0] = 0.0;
+    // `cost[j]` is the best cost of clustering the first j sorted values
+    // into the clusters used so far; `split[c][j]` is where the last of c+1
+    // clusters starts in that optimum. Layer 0 (no clusters) is finite only
+    // at j = 0.
+    let mut cost = vec![f64::INFINITY; n + 1];
+    cost[0] = 0.0;
+    let mut split: Vec<Vec<usize>> = Vec::with_capacity(k);
     for c in 1..=k {
-        for j in c..=n {
-            // Last cluster covers sorted[i..j]; i ranges over [c-1, j-1].
-            for i in (c - 1)..j {
-                if cost[c - 1][i] == inf {
-                    continue;
-                }
-                let candidate = cost[c - 1][i] + range_cost(i, j);
-                if candidate < cost[c][j] {
-                    cost[c][j] = candidate;
-                    split[c][j] = i;
-                }
-            }
-        }
+        let mut next = vec![f64::INFINITY; n + 1];
+        let mut arg = vec![0usize; n + 1];
+        // Only j = n matters in the last layer; earlier layers need every
+        // prefix length that can still hold the remaining clusters.
+        let (jlo, jhi) = if c == k { (n, n) } else { (c, n) };
+        fill_layer(
+            &costs,
+            &cost,
+            &mut next,
+            &mut arg,
+            (jlo, jhi),
+            (c - 1, n - 1),
+        );
+        cost = next;
+        split.push(arg);
     }
 
     // Recover boundaries.
@@ -140,7 +71,7 @@ fn kmeans_1d_exact(values: &[f64], k: usize) -> Result<KMeansResult> {
     boundaries[k] = n;
     let mut j = n;
     for c in (1..=k).rev() {
-        let i = split[c][j];
+        let i = split[c - 1][j];
         boundaries[c - 1] = i;
         j = i;
     }
@@ -150,8 +81,7 @@ fn kmeans_1d_exact(values: &[f64], k: usize) -> Result<KMeansResult> {
     let mut centroids = Vec::with_capacity(k);
     for c in 0..k {
         let (lo, hi) = (boundaries[c], boundaries[c + 1]);
-        let len = (hi - lo).max(1) as f64;
-        centroids.push(vec![(prefix[hi] - prefix[lo]) / len]);
+        centroids.push(vec![costs.mean(lo, hi)]);
         for &orig in &order[lo..hi] {
             assignments[orig] = c;
         }
@@ -159,14 +89,173 @@ fn kmeans_1d_exact(values: &[f64], k: usize) -> Result<KMeansResult> {
     Ok(KMeansResult {
         assignments,
         centroids,
-        inertia: cost[k][n],
+        inertia: cost[n],
         iterations: 1,
     })
+}
+
+/// Prefix sums over sorted values: the within-cluster cost of any range
+/// of them in `O(1)`.
+struct RangeCosts {
+    prefix: Vec<f64>,
+    prefix_sq: Vec<f64>,
+}
+
+impl RangeCosts {
+    fn new(sorted: &[f64]) -> Self {
+        let mut prefix = vec![0.0; sorted.len() + 1];
+        let mut prefix_sq = vec![0.0; sorted.len() + 1];
+        for (i, &v) in sorted.iter().enumerate() {
+            prefix[i + 1] = prefix[i] + v;
+            prefix_sq[i + 1] = prefix_sq[i] + v * v;
+        }
+        RangeCosts { prefix, prefix_sq }
+    }
+
+    /// Cost of clustering `sorted[i..j]` (exclusive `j`) into one cluster.
+    fn cost(&self, i: usize, j: usize) -> f64 {
+        let len = (j - i) as f64;
+        if len <= 0.0 {
+            return 0.0;
+        }
+        let s = self.prefix[j] - self.prefix[i];
+        let sq = self.prefix_sq[j] - self.prefix_sq[i];
+        (sq - s * s / len).max(0.0)
+    }
+
+    /// Mean of `sorted[lo..hi]` (0 for an empty range).
+    fn mean(&self, lo: usize, hi: usize) -> f64 {
+        (self.prefix[hi] - self.prefix[lo]) / (hi - lo).max(1) as f64
+    }
+}
+
+/// Fill one DP layer for prefix lengths `j ∈ [jlo, jhi]`, given that each
+/// of their optimal last-cluster starts lies in `[ilo, ihi]`:
+/// `next[j] = min over i < j of prev[i] + cost(i, j)`, with the leftmost
+/// strict-`<` argmin in `arg[j]`. The optimal start is monotone in `j`, so
+/// solving the middle `j` bounds the search on either side of it.
+fn fill_layer(
+    costs: &RangeCosts,
+    prev: &[f64],
+    next: &mut [f64],
+    arg: &mut [usize],
+    (jlo, jhi): (usize, usize),
+    (ilo, ihi): (usize, usize),
+) {
+    if jlo > jhi {
+        return;
+    }
+    let mid = jlo + (jhi - jlo) / 2;
+    let mut best = f64::INFINITY;
+    let mut best_i = ilo;
+    for (offset, &before) in prev[ilo..=ihi.min(mid - 1)].iter().enumerate() {
+        let i = ilo + offset;
+        let candidate = before + costs.cost(i, mid);
+        if candidate < best {
+            best = candidate;
+            best_i = i;
+        }
+    }
+    next[mid] = best;
+    arg[mid] = best_i;
+    if mid > jlo {
+        fill_layer(costs, prev, next, arg, (jlo, mid - 1), (ilo, best_i));
+    }
+    fill_layer(costs, prev, next, arg, (mid + 1, jhi), (best_i, ihi));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The reference `O(k · n²)` DP: every layer scans every split point.
+    /// [`kmeans_1d`] must match it exactly (assignments and inertia bits).
+    fn kmeans_1d_dp(values: &[f64], k: usize) -> (Vec<usize>, f64) {
+        let n = values.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
+        let sorted: Vec<f64> = order.iter().map(|&i| values[i]).collect();
+        let costs = RangeCosts::new(&sorted);
+        let inf = f64::INFINITY;
+        let mut cost = vec![vec![inf; n + 1]; k + 1];
+        let mut split = vec![vec![0usize; n + 1]; k + 1];
+        cost[0][0] = 0.0;
+        for c in 1..=k {
+            for j in c..=n {
+                for i in (c - 1)..j {
+                    if cost[c - 1][i] == inf {
+                        continue;
+                    }
+                    let candidate = cost[c - 1][i] + costs.cost(i, j);
+                    if candidate < cost[c][j] {
+                        cost[c][j] = candidate;
+                        split[c][j] = i;
+                    }
+                }
+            }
+        }
+        let mut assignments = vec![0usize; n];
+        let mut j = n;
+        for c in (1..=k).rev() {
+            let i = split[c][j];
+            for &orig in &order[i..j] {
+                assignments[orig] = c - 1;
+            }
+            j = i;
+        }
+        (assignments, cost[k][n])
+    }
+
+    /// Inputs where exact ties and near-ties between split points abound:
+    /// few distinct values, mostly zeros, or tight groups.
+    fn hard_inputs() -> impl Strategy<Value = Vec<f64>> {
+        let duplicate_heavy = proptest::collection::vec(0usize..6, 1..600)
+            .prop_map(|ix| ix.into_iter().map(|i| i as f64 * 1.7 - 3.0).collect());
+        let zero_heavy =
+            proptest::collection::vec((0usize..10, -50.0f64..50.0), 1..600).prop_map(|xs| {
+                xs.into_iter()
+                    .map(|(coin, v)| if coin < 8 { 0.0 } else { v })
+                    .collect()
+            });
+        let grouped = proptest::collection::vec((0usize..4, -1.0f64..1.0), 1..600).prop_map(|xs| {
+            xs.into_iter()
+                .map(|(g, noise)| [-900.0, 0.1, 0.3, 5e4][g] + noise * 0.01)
+                .collect()
+        });
+        prop_oneof![duplicate_heavy, zero_heavy, grouped]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(160))]
+
+        #[test]
+        fn matches_quadratic_dp(values in hard_inputs(), k in 1usize..=6) {
+            prop_assume!(k <= values.len());
+            let fast = kmeans_1d(&values, k).unwrap();
+            let (assignments, inertia) = kmeans_1d_dp(&values, k);
+            prop_assert_eq!(fast.assignments, assignments);
+            prop_assert_eq!(fast.inertia.to_bits(), inertia.to_bits());
+        }
+    }
+
+    #[test]
+    fn matches_quadratic_dp_above_old_sampling_cutoff() {
+        // 3000 points: more than the 2048 the clustering once subsampled to.
+        let values: Vec<f64> = (0..3000u32)
+            .map(|i| {
+                let group = f64::from(i % 5) * 40.0;
+                let jitter = f64::from(i.wrapping_mul(2_654_435_761) % 1000) / 100.0;
+                group + jitter
+            })
+            .collect();
+        for k in [2, 5, 6] {
+            let fast = kmeans_1d(&values, k).unwrap();
+            let (assignments, inertia) = kmeans_1d_dp(&values, k);
+            assert_eq!(fast.assignments, assignments, "k = {k}");
+            assert_eq!(fast.inertia.to_bits(), inertia.to_bits(), "k = {k}");
+        }
+    }
 
     #[test]
     fn exact_three_group_recovery() {

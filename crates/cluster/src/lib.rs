@@ -8,8 +8,9 @@
 //! candidate partitions. This crate provides:
 //!
 //! - exact 1-D k-means by dynamic programming ([`kmeans_1d`]) — the
-//!   primary residual-clustering routine (deterministic and optimal, which
-//!   Lloyd's algorithm on residuals is not),
+//!   primary residual-clustering routine (deterministic and optimal at
+//!   every input size in `O(k · n log n)`, which Lloyd's algorithm on
+//!   residuals is not),
 //! - general k-dimensional k-means with k-means++ seeding ([`kmeans`]),
 //! - silhouette scoring and automatic `k` selection ([`silhouette`],
 //!   [`best_k`]), and

@@ -1,8 +1,10 @@
 //! Automatic selection of the number of clusters `k`.
 //!
 //! ChARLES enumerates candidate partitionings over a range of `k`; this
-//! module scores each `k` by silhouette (subsampled for large inputs) so
-//! the engine can prioritize promising partition counts.
+//! module clusters the values exactly at each `k` and scores the result by
+//! silhouette, so the engine can prioritize promising partition counts.
+//! Only the silhouette score is subsampled on large inputs; the clustering
+//! it scores is always computed over every value.
 
 use crate::error::Result;
 use crate::kmeans1d::kmeans_1d;
@@ -22,8 +24,9 @@ pub struct KCandidate {
 /// Evaluate each `k` in `k_range` on scalar `values` using exact 1-D
 /// k-means, returning candidates sorted by descending silhouette.
 ///
-/// For inputs above `max_eval_points`, the silhouette is computed on an
-/// evenly strided subsample (deterministic) to keep this O(n·k + s²).
+/// For inputs above `max_eval_points`, the silhouette (an O(s²) score) is
+/// computed on an evenly strided subsample (deterministic) of the exact
+/// clustering's assignments.
 pub fn rank_k_choices(
     values: &[f64],
     k_range: std::ops::RangeInclusive<usize>,

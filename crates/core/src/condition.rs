@@ -6,7 +6,7 @@
 //! more normal, larger matched partitions cover more.
 
 use charles_numerics::normality::roundness;
-use charles_relation::{AttrRef, CmpOp, Predicate, Table, Value};
+use charles_relation::{AttrId, AttrRef, CmpOp, Predicate, Table, Value};
 use std::fmt;
 
 /// One atomic statement about an attribute.
@@ -284,6 +284,54 @@ impl Condition {
         parts.sort();
         parts.join(" ∧ ")
     }
+
+    /// The structural identity of this condition over one table (`None`
+    /// when an attribute handle is unresolved): equal keys select equal
+    /// rows. Unlike [`Condition::signature`] it compares thresholds by
+    /// their exact bits, not their rendering.
+    pub(crate) fn key(&self) -> Option<ConditionKey> {
+        let mut keys = self
+            .descriptors
+            .iter()
+            .map(|d| {
+                let id = d.attr_ref().id()?;
+                Some(match d {
+                    Descriptor::Equals { value, .. } => DescriptorKey::Equals(id, value.clone()),
+                    Descriptor::NotEquals { value, .. } => {
+                        DescriptorKey::NotEquals(id, value.clone())
+                    }
+                    Descriptor::OneOf { values, .. } => DescriptorKey::OneOf(id, values.clone()),
+                    Descriptor::LessThan { threshold, .. } => {
+                        DescriptorKey::LessThan(id, threshold.to_bits())
+                    }
+                    Descriptor::AtLeast { threshold, .. } => {
+                        DescriptorKey::AtLeast(id, threshold.to_bits())
+                    }
+                    Descriptor::InRange { lo, hi, .. } => {
+                        DescriptorKey::InRange(id, lo.to_bits(), hi.to_bits())
+                    }
+                })
+            })
+            .collect::<Option<Vec<_>>>()?;
+        // A conjunction selects the same rows in any order.
+        keys.sort();
+        Some(ConditionKey(keys))
+    }
+}
+
+/// See [`Condition::key`]: the condition's descriptors, sorted.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub(crate) struct ConditionKey(Vec<DescriptorKey>);
+
+/// One descriptor by attribute id, variant, values, and threshold bits.
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum DescriptorKey {
+    Equals(AttrId, Value),
+    NotEquals(AttrId, Value),
+    OneOf(AttrId, Vec<Value>),
+    LessThan(AttrId, u64),
+    AtLeast(AttrId, u64),
+    InRange(AttrId, u64, u64),
 }
 
 impl fmt::Display for Condition {

@@ -21,7 +21,7 @@ use charles_cluster::{dbscan, kmeans_1d};
 use charles_numerics::normality::{roundness, snap_candidates};
 use charles_numerics::stats::{mad, median};
 use charles_relation::{AttrRef, Column, Table, Value};
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 /// A discovered partition: an expressible condition plus the rows that
 /// satisfy it.
@@ -134,18 +134,19 @@ pub fn cluster_residuals(
 // ---------------------------------------------------------------------------
 // Decision-tree induction over condition attributes
 // ---------------------------------------------------------------------------
+//
+// Split search runs on label counts. Gini impurity is a pure function of a
+// node's per-label counts, so every candidate split is scored from counts
+// alone: a numeric attribute sweeps prefix counts along its presorted rows
+// (SLIQ/SPRINT-style attribute lists: sorted once, then split stably into
+// the children), and a categorical attribute reads its one-vs-rest counts
+// off one (value group × label) pass. Only the winning split materializes
+// rows.
 
-/// Gini impurity of the label multiset at `rows`; rows labelled
-/// [`OUTLIER_LABEL`] are invisible to the impurity.
-fn gini(labels: &[usize], rows: &[usize], n_labels: usize) -> f64 {
-    let mut counts = vec![0usize; n_labels];
-    let mut n = 0usize;
-    for &r in rows {
-        if labels[r] != OUTLIER_LABEL {
-            counts[labels[r]] += 1;
-            n += 1;
-        }
-    }
+/// Gini impurity of a label-count vector. Rows labelled [`OUTLIER_LABEL`]
+/// are never counted, so they are invisible to the impurity.
+fn gini(counts: &[usize]) -> f64 {
+    let n: usize = counts.iter().sum();
     if n == 0 {
         return 0.0;
     }
@@ -157,6 +158,17 @@ fn gini(labels: &[usize], rows: &[usize], n_labels: usize) -> f64 {
         })
         // lint:allow(float-fold-order: Gini over a handful of label counts, fixed slice order)
         .sum::<f64>()
+}
+
+/// Per-label counts of `rows`, skipping [`OUTLIER_LABEL`].
+fn label_counts(labels: &[usize], rows: &[usize], n_labels: usize) -> Vec<usize> {
+    let mut counts = vec![0usize; n_labels];
+    for &r in rows {
+        if labels[r] != OUTLIER_LABEL {
+            counts[labels[r]] += 1;
+        }
+    }
+    counts
 }
 
 /// Whether all (non-outlier) rows share one label.
@@ -174,14 +186,6 @@ fn is_pure(labels: &[usize], rows: &[usize]) -> bool {
         }
     }
     true
-}
-
-/// A candidate binary split.
-struct Split {
-    descriptor: Descriptor,
-    yes: Vec<usize>,
-    no: Vec<usize>,
-    gain: f64,
 }
 
 /// Pick the roundest threshold `t` such that `x < t` partitions identically
@@ -203,145 +207,346 @@ fn nice_threshold(below: f64, above: f64) -> f64 {
     best
 }
 
-/// The distinct values of a categorical column over a row subset, each
-/// with its rows (in row order). Dictionary-encoded columns group by
-/// integer code — no string hashing; the string is materialized once per
-/// distinct value for the descriptor. Falls back to value hashing only for
-/// non-dictionary categoricals (booleans). The null group, when present,
-/// carries `Value::Null`.
-fn categorical_groups(col: &Column, rows: &[usize]) -> Vec<(Value, Vec<usize>)> {
-    if let Some(view) = col.codes_view() {
-        const UNSEEN: usize = usize::MAX;
-        let mut slot_of_code = vec![UNSEEN; view.dict_len()];
-        let mut null_slot = UNSEEN;
-        let mut groups: Vec<(Value, Vec<usize>)> = Vec::new();
-        for &r in rows {
-            let slot = match view.code(r) {
-                Some(code) => {
-                    let slot = &mut slot_of_code[code as usize];
-                    if *slot == UNSEEN {
-                        *slot = groups.len();
-                        groups.push((col.get(r), Vec::new()));
-                    }
-                    *slot
-                }
-                None => {
-                    if null_slot == UNSEEN {
-                        null_slot = groups.len();
-                        groups.push((Value::Null, Vec::new()));
-                    }
-                    null_slot
-                }
-            };
-            groups[slot].1.push(r);
+/// A condition attribute prepared once per run for split search.
+pub(crate) enum SplitColumn {
+    /// Numeric: the non-null rows in ascending value order, ties by row
+    /// id, NaNs last (no threshold `v < t` admits a NaN, so every split's
+    /// `yes` side is a prefix of this order), and every row's value (NaN
+    /// at the null rows `order` leaves out).
+    Numeric { order: Vec<usize>, values: Vec<f64> },
+    /// Categorical: every row's value group (by dictionary code or
+    /// boolean, nulls forming one group) and each group's value.
+    Categorical {
+        groups: Vec<usize>,
+        values: Vec<Value>,
+    },
+}
+
+impl SplitColumn {
+    /// Prepare one column (`None` if it is neither numeric nor groupable).
+    pub(crate) fn new(col: &Column) -> Option<SplitColumn> {
+        if col.dtype().is_numeric() {
+            let values: Vec<f64> = (0..col.len())
+                .map(|r| col.get_f64(r).unwrap_or(f64::NAN))
+                .collect();
+            let mut order: Vec<usize> = (0..col.len()).filter(|&r| col.is_valid(r)).collect();
+            order.sort_by(|&a, &b| {
+                let (x, y) = (values[a], values[b]);
+                x.is_nan().cmp(&y.is_nan()).then(x.total_cmp(&y))
+            });
+            return Some(SplitColumn::Numeric { order, values });
         }
-        groups
-    } else {
-        // BTree-grouped so the emitted groups come out in `Value` order —
-        // hash order here would make split enumeration (and any
-        // score-tie winner downstream) vary run to run.
-        let mut by_value: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
-        for &r in rows {
-            by_value.entry(col.get(r)).or_default().push(r);
-        }
-        by_value.into_iter().collect()
+        let grouped = col.group_codes()?;
+        let values = grouped
+            .groups
+            .iter()
+            .map(|(_, rows)| rows.first().map_or(Value::Null, |&r| col.get(r)))
+            .collect();
+        Some(SplitColumn::Categorical {
+            groups: grouped.labels,
+            values,
+        })
     }
 }
 
-/// Enumerate candidate splits for one attribute at a node.
-fn splits_for_attr(
-    attr: &AttrRef,
-    col: &Column,
-    labels: &[usize],
-    rows: &[usize],
+/// Which rows of a node the winning split sends to its `yes` side.
+enum YesSide<'c> {
+    /// The first `len` rows of the split attribute's sorted list.
+    Prefix(usize),
+    /// The rows in value group `group` of a categorical attribute.
+    Group { groups: &'c [usize], group: usize },
+}
+
+/// The best split found so far at a node.
+struct Best<'c> {
+    gain: f64,
+    attr: usize,
+    descriptor: Descriptor,
+    yes: YesSide<'c>,
+}
+
+/// One node of the growing tree.
+struct Node {
+    /// The node's rows: the parent's order, or the split attribute's
+    /// sorted order below a numeric split.
+    rows: Vec<usize>,
+    /// Per condition attribute, the node's non-null rows in presorted
+    /// order (empty for categorical attributes).
+    sorted: Vec<Vec<usize>>,
+    path: Vec<Descriptor>,
+    depth: usize,
+}
+
+/// The parts of a node every candidate split is scored against.
+struct NodeStats {
+    len: usize,
+    counts: Vec<usize>,
+    gini: f64,
+}
+
+impl NodeStats {
+    /// Parent impurity minus the size-weighted impurity of the children,
+    /// for a `yes` side of `yes_len` rows with label counts `yes`.
+    fn gain(&self, yes: &[usize], yes_len: usize) -> f64 {
+        let no: Vec<usize> = self.counts.iter().zip(yes).map(|(p, y)| p - y).collect();
+        let n = self.len as f64;
+        let child =
+            (yes_len as f64 / n) * gini(yes) + ((self.len - yes_len) as f64 / n) * gini(&no);
+        self.gini - child
+    }
+}
+
+/// Keep a candidate split when it strictly beats the best so far (and is
+/// not numerically zero); the first of equal-gain candidates wins.
+fn offer<'c>(
+    best: &mut Option<Best<'c>>,
+    gain: f64,
+    attr: usize,
+    make: impl FnOnce() -> (Descriptor, YesSide<'c>),
+) {
+    if gain > 1e-12 && best.as_ref().is_none_or(|b| gain > b.gain) {
+        let (descriptor, yes) = make();
+        *best = Some(Best {
+            gain,
+            attr,
+            descriptor,
+            yes,
+        });
+    }
+}
+
+/// Most distinct values (the null group included) a categorical attribute
+/// may show at a node and still be split on.
+const MAX_CATEGORIES: usize = 24;
+
+/// Numeric splits are tried at no more than this many thresholds per node.
+const MAX_THRESHOLDS: usize = 32;
+
+/// The CART split finder over one table, labeling and attribute list.
+struct Cart<'a> {
+    attrs: &'a [AttrRef],
+    columns: Vec<Option<Arc<SplitColumn>>>,
+    labels: &'a [usize],
     n_labels: usize,
     min_leaf: usize,
-) -> Vec<Split> {
-    let parent_gini = gini(labels, rows, n_labels);
-    let n = rows.len() as f64;
-    let mut out = Vec::new();
+}
 
-    if col.dtype().is_numeric() {
-        // Sort node rows by attribute value; thresholds between adjacent
-        // distinct values.
-        let mut vals: Vec<(f64, usize)> = rows
+impl<'a> Cart<'a> {
+    fn new(
+        table: &Table,
+        attrs: &'a [AttrRef],
+        labels: &'a [usize],
+        n_labels: usize,
+        min_leaf: usize,
+        prepared: &dyn Fn(&AttrRef, &Column) -> Option<Arc<SplitColumn>>,
+    ) -> Self {
+        let columns = attrs
             .iter()
-            .filter_map(|&r| col.get_f64(r).map(|v| (v, r)))
+            .map(|attr| prepared(attr, column_of(table, attr)?))
             .collect();
-        if vals.len() < rows.len() {
-            return out; // nulls present: skip numeric splits on this attr
+        Cart {
+            attrs,
+            columns,
+            labels,
+            n_labels,
+            min_leaf,
         }
-        vals.sort_by(|a, b| a.0.total_cmp(&b.0));
-        let mut boundaries: Vec<(f64, f64)> = Vec::new();
-        for w in vals.windows(2) {
-            if w[0].0 < w[1].0 {
-                boundaries.push((w[0].0, w[1].0));
-            }
+    }
+
+    /// A node over `rows` (ascending), as the root is.
+    fn node(&self, rows: Vec<usize>) -> Node {
+        let mut member = vec![false; self.labels.len()];
+        for &r in &rows {
+            member[r] = true;
         }
-        // Cap the number of evaluated thresholds on large nodes.
-        const MAX_THRESHOLDS: usize = 32;
-        let step = boundaries.len().div_ceil(MAX_THRESHOLDS).max(1);
-        for (below, above) in boundaries.into_iter().step_by(step) {
-            let threshold = nice_threshold(below, above);
-            let mut yes = Vec::new();
-            let mut no = Vec::new();
-            for &(v, r) in &vals {
-                if v < threshold {
-                    yes.push(r);
-                } else {
-                    no.push(r);
+        let sorted = self
+            .columns
+            .iter()
+            .map(|column| match column.as_deref() {
+                Some(SplitColumn::Numeric { order, .. }) => {
+                    order.iter().copied().filter(|&r| member[r]).collect()
+                }
+                _ => Vec::new(),
+            })
+            .collect();
+        Node {
+            rows,
+            sorted,
+            path: Vec::new(),
+            depth: 0,
+        }
+    }
+
+    /// The best split of a node: attributes in order, each attribute's
+    /// candidates in order, a later candidate winning only on strictly
+    /// higher gain.
+    fn best_split(&self, node: &Node) -> Option<Best<'_>> {
+        let counts = label_counts(self.labels, &node.rows, self.n_labels);
+        let stats = NodeStats {
+            len: node.rows.len(),
+            gini: gini(&counts),
+            counts,
+        };
+        let mut best = None;
+        for (a, column) in self.columns.iter().enumerate() {
+            match column.as_deref() {
+                None => {}
+                Some(SplitColumn::Numeric { values, .. }) => {
+                    self.numeric_splits(a, values, &node.sorted[a], &stats, &mut best)
+                }
+                Some(SplitColumn::Categorical { groups, values }) => {
+                    self.categorical_splits(a, groups, values, &node.rows, &stats, &mut best)
                 }
             }
-            if yes.len() < min_leaf || no.len() < min_leaf {
-                continue;
-            }
-            let child = (yes.len() as f64 / n) * gini(labels, &yes, n_labels)
-                + (no.len() as f64 / n) * gini(labels, &no, n_labels);
-            out.push(Split {
-                descriptor: Descriptor::LessThan {
-                    attr: attr.clone(),
-                    threshold,
-                },
-                yes,
-                no,
-                gain: parent_gini - child,
-            });
         }
-    } else {
-        // Categorical: one-vs-rest equality splits per distinct value,
-        // grouped by dictionary code.
-        let mut groups = categorical_groups(col, rows);
-        if groups.len() < 2 || groups.len() > 24 {
-            return out; // unsplittable or too high-cardinality
+        best
+    }
+
+    /// `attr < t` at every `step`-th boundary between adjacent distinct
+    /// values, sampled so that at most [`MAX_THRESHOLDS`] are tried. An
+    /// attribute with a null at the node is not split on.
+    fn numeric_splits(
+        &self,
+        a: usize,
+        values: &[f64],
+        sorted: &[usize],
+        stats: &NodeStats,
+        best: &mut Option<Best<'_>>,
+    ) {
+        let m = sorted.len();
+        if m < stats.len {
+            return;
         }
-        groups.sort_by(|a, b| a.0.cmp(&b.0)); // determinism
-        for (value, yes) in groups {
-            if value.is_null() {
+        let bounds = |pair: &[usize]| (values[pair[0]], values[pair[1]]);
+        let boundaries = sorted
+            .windows(2)
+            .filter(|pair| {
+                let (below, above) = bounds(pair);
+                below < above
+            })
+            .count();
+        let step = boundaries.div_ceil(MAX_THRESHOLDS).max(1);
+        let mut yes = vec![0usize; self.n_labels];
+        let mut boundary = 0usize;
+        for (p, pair) in sorted.windows(2).enumerate() {
+            let label = self.labels[pair[0]];
+            if label != OUTLIER_LABEL {
+                yes[label] += 1;
+            }
+            let (below, above) = bounds(pair);
+            if below < above {
+                let sampled = boundary.is_multiple_of(step);
+                boundary += 1;
+                let yes_len = p + 1;
+                if sampled && yes_len >= self.min_leaf && m - yes_len >= self.min_leaf {
+                    offer(best, stats.gain(&yes, yes_len), a, || {
+                        let descriptor = Descriptor::LessThan {
+                            attr: self.attrs[a].clone(),
+                            threshold: nice_threshold(below, above),
+                        };
+                        (descriptor, YesSide::Prefix(yes_len))
+                    });
+                }
+            }
+        }
+    }
+
+    /// One-vs-rest `attr = v` for every non-null value group present at
+    /// the node, in `Value` order, from one (group × label) count pass.
+    /// Attributes with fewer than two or more than [`MAX_CATEGORIES`]
+    /// groups at the node are not split on.
+    fn categorical_splits<'c>(
+        &self,
+        a: usize,
+        groups: &'c [usize],
+        values: &[Value],
+        rows: &[usize],
+        stats: &NodeStats,
+        best: &mut Option<Best<'c>>,
+    ) {
+        const UNSEEN: usize = usize::MAX;
+        let mut slot_of_group = vec![UNSEEN; values.len()];
+        // (group, rows, label counts) in order of first appearance.
+        let mut present: Vec<(usize, usize, Vec<usize>)> = Vec::new();
+        for &r in rows {
+            let slot = &mut slot_of_group[groups[r]];
+            if *slot == UNSEEN {
+                if present.len() == MAX_CATEGORIES {
+                    return;
+                }
+                *slot = present.len();
+                present.push((groups[r], 0, vec![0; self.n_labels]));
+            }
+            let (_, len, counts) = &mut present[*slot];
+            *len += 1;
+            if self.labels[r] != OUTLIER_LABEL {
+                counts[self.labels[r]] += 1;
+            }
+        }
+        if present.len() < 2 {
+            return;
+        }
+        present.sort_by(|x, y| values[x.0].cmp(&values[y.0]));
+        for (group, len, counts) in present {
+            let value = &values[group];
+            if value.is_null() || len < self.min_leaf || stats.len - len < self.min_leaf {
                 continue;
             }
-            let yes_set: std::collections::HashSet<usize> = yes.iter().copied().collect();
-            let no: Vec<usize> = rows
-                .iter()
-                .copied()
-                .filter(|r| !yes_set.contains(r))
-                .collect();
-            if yes.len() < min_leaf || no.len() < min_leaf {
-                continue;
-            }
-            let child = (yes.len() as f64 / n) * gini(labels, &yes, n_labels)
-                + (no.len() as f64 / n) * gini(labels, &no, n_labels);
-            out.push(Split {
-                descriptor: Descriptor::Equals {
-                    attr: attr.clone(),
-                    value,
-                },
-                yes,
-                no,
-                gain: parent_gini - child,
+            offer(best, stats.gain(&counts, len), a, || {
+                let descriptor = Descriptor::Equals {
+                    attr: self.attrs[a].clone(),
+                    value: value.clone(),
+                };
+                (descriptor, YesSide::Group { groups, group })
             });
         }
     }
-    out
+
+    /// Split a node by its winning split into (yes, no) children. Numeric
+    /// winners take the sorted prefix and rest; categorical ones keep the
+    /// node's row order. Every sorted list is split stably; `in_yes` is an
+    /// all-false scratch mask over the table's rows, left all-false.
+    fn split(node: Node, best: Best<'_>, in_yes: &mut [bool]) -> (Node, Node) {
+        let (yes_rows, no_rows): (Vec<usize>, Vec<usize>) = match best.yes {
+            YesSide::Prefix(len) => {
+                let sorted = &node.sorted[best.attr];
+                (sorted[..len].to_vec(), sorted[len..].to_vec())
+            }
+            YesSide::Group { groups, group } => {
+                node.rows.iter().partition(|&&r| groups[r] == group)
+            }
+        };
+        for &r in &yes_rows {
+            in_yes[r] = true;
+        }
+        let (yes_sorted, no_sorted): (Vec<Vec<usize>>, Vec<Vec<usize>>) = node
+            .sorted
+            .iter()
+            .map(|list| list.iter().partition(|&&r| in_yes[r]))
+            .unzip();
+        for &r in &yes_rows {
+            in_yes[r] = false;
+        }
+        let mut yes_path = node.path.clone();
+        yes_path.push(best.descriptor.clone());
+        let mut no_path = node.path;
+        no_path.push(best.descriptor.negate());
+        let depth = node.depth + 1;
+        (
+            Node {
+                rows: yes_rows,
+                sorted: yes_sorted,
+                path: yes_path,
+                depth,
+            },
+            Node {
+                rows: no_rows,
+                sorted: no_sorted,
+                path: no_path,
+                depth,
+            },
+        )
+    }
 }
 
 /// Resolve a condition attribute to its column: interned ids index
@@ -355,28 +560,6 @@ fn column_of<'t>(table: &'t Table, attr: &AttrRef) -> Option<&'t Column> {
         }
     }
     table.column_by_name(attr.name()).ok()
-}
-
-fn best_split(
-    table: &Table,
-    cond_attrs: &[AttrRef],
-    labels: &[usize],
-    rows: &[usize],
-    n_labels: usize,
-    min_leaf: usize,
-) -> Option<Split> {
-    let mut best: Option<Split> = None;
-    for attr in cond_attrs {
-        let Some(col) = column_of(table, attr) else {
-            continue;
-        };
-        for split in splits_for_attr(attr, col, labels, rows, n_labels, min_leaf) {
-            if split.gain > 1e-12 && best.as_ref().is_none_or(|b| split.gain > b.gain) {
-                best = Some(split);
-            }
-        }
-    }
-    best
 }
 
 /// Remove redundant descriptors from a root-to-leaf path:
@@ -450,6 +633,68 @@ fn simplify_path(path: Vec<Descriptor>) -> Vec<Descriptor> {
     out
 }
 
+/// Induce the leaf conditions of a CART tree over `cond_attrs` that
+/// predicts `labels`: disjoint, covering conditions, ordered by their
+/// first matching row. With `cond_attrs` empty (or labels constant), the
+/// single universal condition. `prepared` supplies each attribute's
+/// [`SplitColumn`], so a search prepares each attribute once per run.
+pub(crate) fn induce_conditions(
+    table: &Table,
+    cond_attrs: &[AttrRef],
+    labels: &[usize],
+    config: &CharlesConfig,
+    prepared: &dyn Fn(&AttrRef, &Column) -> Option<Arc<SplitColumn>>,
+) -> Vec<Condition> {
+    let n = table.height();
+    let n_labels = labels
+        .iter()
+        .copied()
+        .filter(|&l| l != OUTLIER_LABEL)
+        .max()
+        .map_or(1, |m| m + 1);
+    if cond_attrs.is_empty() || n_labels <= 1 || n == 0 {
+        return vec![Condition::all()];
+    }
+    let min_leaf = ((n as f64 * config.min_partition_fraction).ceil() as usize).max(1);
+    let max_depth = config.max_tree_depth.max(1);
+    let cart = Cart::new(table, cond_attrs, labels, n_labels, min_leaf, prepared);
+
+    // Recursive growth with an explicit stack.
+    let mut in_yes = vec![false; labels.len()];
+    let mut leaves: Vec<(usize, Condition)> = Vec::new();
+    let mut stack = vec![cart.node((0..n).collect())];
+    while let Some(node) = stack.pop() {
+        let stop = node.depth >= max_depth
+            || node.rows.len() < 2 * min_leaf
+            || is_pure(labels, &node.rows);
+        match (!stop).then(|| cart.best_split(&node)).flatten() {
+            Some(best) => {
+                let (yes, no) = Cart::split(node, best, &mut in_yes);
+                stack.push(yes);
+                stack.push(no);
+            }
+            None => {
+                let condition = Condition::new(simplify_path(node.path));
+                if cfg!(debug_assertions) {
+                    if let Ok(rows) = condition.matching_rows(table) {
+                        let mut tree_rows = node.rows.clone();
+                        tree_rows.sort_unstable();
+                        debug_assert_eq!(
+                            rows, tree_rows,
+                            "simplified condition must select the same rows as the tree path"
+                        );
+                    }
+                }
+                let first = node.rows.iter().copied().min().unwrap_or(usize::MAX);
+                leaves.push((first, condition));
+            }
+        }
+    }
+    // Deterministic order: by first row id.
+    leaves.sort_by_key(|&(first, _)| first);
+    leaves.into_iter().map(|(_, condition)| condition).collect()
+}
+
 /// Induce expressible partitions from cluster labels.
 ///
 /// Returns disjoint, covering partitions, each with a condition built from
@@ -461,97 +706,365 @@ pub fn induce_partitions(
     labels: &[usize],
     config: &CharlesConfig,
 ) -> Result<Vec<PartitionSpec>> {
-    let n = table.height();
-    let all_rows: Vec<usize> = (0..n).collect();
-    let n_labels = labels
-        .iter()
-        .copied()
-        .filter(|&l| l != OUTLIER_LABEL)
-        .max()
-        .map_or(1, |m| m + 1);
-    if cond_attrs.is_empty() || n_labels <= 1 || n == 0 {
-        return Ok(vec![PartitionSpec {
-            condition: Condition::all(),
-            rows: all_rows,
-        }]);
-    }
-    let min_leaf = ((n as f64 * config.min_partition_fraction).ceil() as usize).max(1);
-    let max_depth = config.max_tree_depth.max(1);
+    let prepare = |_: &AttrRef, col: &Column| SplitColumn::new(col).map(Arc::new);
+    induce_conditions(table, cond_attrs, labels, config, &prepare)
+        .into_iter()
+        .map(|condition| {
+            // The partitions are *exactly* what the conditions say: rows
+            // are re-evaluated from the (simplified) condition.
+            let rows = condition.matching_rows(table)?;
+            Ok(PartitionSpec { condition, rows })
+        })
+        .collect()
+}
 
-    // Recursive growth with an explicit stack.
-    struct Work {
-        rows: Vec<usize>,
-        path: Vec<Descriptor>,
-        depth: usize,
-    }
-    let mut leaves: Vec<(Vec<Descriptor>, Vec<usize>)> = Vec::new();
-    let mut stack = vec![Work {
-        rows: all_rows,
-        path: Vec::new(),
-        depth: 0,
-    }];
-    while let Some(node) = stack.pop() {
-        let stop = node.depth >= max_depth
-            || node.rows.len() < 2 * min_leaf
-            || is_pure(labels, &node.rows);
-        let split = if stop {
-            None
-        } else {
-            best_split(table, cond_attrs, labels, &node.rows, n_labels, min_leaf)
-        };
-        match split {
-            Some(s) => {
-                let mut yes_path = node.path.clone();
-                yes_path.push(s.descriptor.clone());
-                let mut no_path = node.path;
-                no_path.push(s.descriptor.negate());
-                stack.push(Work {
-                    rows: s.yes,
-                    path: yes_path,
-                    depth: node.depth + 1,
-                });
-                stack.push(Work {
-                    rows: s.no,
-                    path: no_path,
-                    depth: node.depth + 1,
-                });
+/// The split finder CART used before it worked from label counts:
+/// per-threshold row materialization and per-split Gini recomputation.
+/// Kept as the differential oracle for [`Cart::best_split`].
+#[cfg(test)]
+mod oracle {
+    use super::*;
+    use std::collections::BTreeMap;
+
+    /// Gini impurity of the label multiset at `rows`; rows labelled
+    /// [`OUTLIER_LABEL`] are invisible to the impurity.
+    fn gini(labels: &[usize], rows: &[usize], n_labels: usize) -> f64 {
+        let mut counts = vec![0usize; n_labels];
+        let mut n = 0usize;
+        for &r in rows {
+            if labels[r] != OUTLIER_LABEL {
+                counts[labels[r]] += 1;
+                n += 1;
             }
-            None => leaves.push((node.path, node.rows)),
+        }
+        if n == 0 {
+            return 0.0;
+        }
+        1.0 - counts
+            .iter()
+            .map(|&c| {
+                let p = c as f64 / n as f64;
+                p * p
+            })
+            // lint:allow(float-fold-order: Gini over a handful of label counts, fixed slice order)
+            .sum::<f64>()
+    }
+
+    /// A candidate binary split.
+    pub(super) struct Split {
+        pub(super) descriptor: Descriptor,
+        pub(super) yes: Vec<usize>,
+        pub(super) no: Vec<usize>,
+        pub(super) gain: f64,
+    }
+
+    /// The distinct values of a categorical column over a row subset, each
+    /// with its rows (in row order). Dictionary-encoded columns group by
+    /// integer code — no string hashing; the string is materialized once per
+    /// distinct value for the descriptor. Falls back to value hashing only for
+    /// non-dictionary categoricals (booleans). The null group, when present,
+    /// carries `Value::Null`.
+    fn categorical_groups(col: &Column, rows: &[usize]) -> Vec<(Value, Vec<usize>)> {
+        if let Some(view) = col.codes_view() {
+            const UNSEEN: usize = usize::MAX;
+            let mut slot_of_code = vec![UNSEEN; view.dict_len()];
+            let mut null_slot = UNSEEN;
+            let mut groups: Vec<(Value, Vec<usize>)> = Vec::new();
+            for &r in rows {
+                let slot = match view.code(r) {
+                    Some(code) => {
+                        let slot = &mut slot_of_code[code as usize];
+                        if *slot == UNSEEN {
+                            *slot = groups.len();
+                            groups.push((col.get(r), Vec::new()));
+                        }
+                        *slot
+                    }
+                    None => {
+                        if null_slot == UNSEEN {
+                            null_slot = groups.len();
+                            groups.push((Value::Null, Vec::new()));
+                        }
+                        null_slot
+                    }
+                };
+                groups[slot].1.push(r);
+            }
+            groups
+        } else {
+            // BTree-grouped so the emitted groups come out in `Value` order —
+            // hash order here would make split enumeration (and any
+            // score-tie winner downstream) vary run to run.
+            let mut by_value: BTreeMap<Value, Vec<usize>> = BTreeMap::new();
+            for &r in rows {
+                by_value.entry(col.get(r)).or_default().push(r);
+            }
+            by_value.into_iter().collect()
         }
     }
 
-    // Build specs; verify conditions by re-evaluating them (the partitions
-    // must be *exactly* what the conditions say, not what the tree said).
-    let mut specs = Vec::with_capacity(leaves.len());
-    for (path, tree_rows) in leaves {
-        let condition = Condition::new(simplify_path(path));
-        // Re-evaluating keeps conditions and rows consistent even after
-        // path simplification.
-        let rows = condition.matching_rows(table)?;
-        debug_assert_eq!(
-            {
-                let mut a = rows.clone();
-                a.sort_unstable();
-                a
-            },
-            {
-                let mut b = tree_rows.clone();
-                b.sort_unstable();
-                b
-            },
-            "simplified condition must select the same rows as the tree path"
-        );
-        specs.push(PartitionSpec { condition, rows });
+    /// Enumerate candidate splits for one attribute at a node.
+    fn splits_for_attr(
+        attr: &AttrRef,
+        col: &Column,
+        labels: &[usize],
+        rows: &[usize],
+        n_labels: usize,
+        min_leaf: usize,
+    ) -> Vec<Split> {
+        let parent_gini = gini(labels, rows, n_labels);
+        let n = rows.len() as f64;
+        let mut out = Vec::new();
+
+        if col.dtype().is_numeric() {
+            // Sort node rows by attribute value; thresholds between adjacent
+            // distinct values.
+            let mut vals: Vec<(f64, usize)> = rows
+                .iter()
+                .filter_map(|&r| col.get_f64(r).map(|v| (v, r)))
+                .collect();
+            if vals.len() < rows.len() {
+                return out; // nulls present: skip numeric splits on this attr
+            }
+            vals.sort_by(|a, b| a.0.total_cmp(&b.0));
+            let mut boundaries: Vec<(f64, f64)> = Vec::new();
+            for w in vals.windows(2) {
+                if w[0].0 < w[1].0 {
+                    boundaries.push((w[0].0, w[1].0));
+                }
+            }
+            // Cap the number of evaluated thresholds on large nodes.
+            const MAX_THRESHOLDS: usize = 32;
+            let step = boundaries.len().div_ceil(MAX_THRESHOLDS).max(1);
+            for (below, above) in boundaries.into_iter().step_by(step) {
+                let threshold = nice_threshold(below, above);
+                let mut yes = Vec::new();
+                let mut no = Vec::new();
+                for &(v, r) in &vals {
+                    if v < threshold {
+                        yes.push(r);
+                    } else {
+                        no.push(r);
+                    }
+                }
+                if yes.len() < min_leaf || no.len() < min_leaf {
+                    continue;
+                }
+                let child = (yes.len() as f64 / n) * gini(labels, &yes, n_labels)
+                    + (no.len() as f64 / n) * gini(labels, &no, n_labels);
+                out.push(Split {
+                    descriptor: Descriptor::LessThan {
+                        attr: attr.clone(),
+                        threshold,
+                    },
+                    yes,
+                    no,
+                    gain: parent_gini - child,
+                });
+            }
+        } else {
+            // Categorical: one-vs-rest equality splits per distinct value,
+            // grouped by dictionary code.
+            let mut groups = categorical_groups(col, rows);
+            if groups.len() < 2 || groups.len() > 24 {
+                return out; // unsplittable or too high-cardinality
+            }
+            groups.sort_by(|a, b| a.0.cmp(&b.0)); // determinism
+            for (value, yes) in groups {
+                if value.is_null() {
+                    continue;
+                }
+                let yes_set: std::collections::HashSet<usize> = yes.iter().copied().collect();
+                let no: Vec<usize> = rows
+                    .iter()
+                    .copied()
+                    .filter(|r| !yes_set.contains(r))
+                    .collect();
+                if yes.len() < min_leaf || no.len() < min_leaf {
+                    continue;
+                }
+                let child = (yes.len() as f64 / n) * gini(labels, &yes, n_labels)
+                    + (no.len() as f64 / n) * gini(labels, &no, n_labels);
+                out.push(Split {
+                    descriptor: Descriptor::Equals {
+                        attr: attr.clone(),
+                        value,
+                    },
+                    yes,
+                    no,
+                    gain: parent_gini - child,
+                });
+            }
+        }
+        out
     }
-    // Deterministic order: by first row id.
-    specs.sort_by_key(|s| s.rows.first().copied().unwrap_or(usize::MAX));
-    Ok(specs)
+
+    pub(super) fn best_split(
+        table: &Table,
+        cond_attrs: &[AttrRef],
+        labels: &[usize],
+        rows: &[usize],
+        n_labels: usize,
+        min_leaf: usize,
+    ) -> Option<Split> {
+        let mut best: Option<Split> = None;
+        for attr in cond_attrs {
+            let Some(col) = column_of(table, attr) else {
+                continue;
+            };
+            for split in splits_for_attr(attr, col, labels, rows, n_labels, min_leaf) {
+                if split.gain > 1e-12 && best.as_ref().is_none_or(|b| split.gain > b.gain) {
+                    best = Some(split);
+                }
+            }
+        }
+        best
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use charles_relation::TableBuilder;
+    use charles_relation::{DataType, TableBuilder};
+    use proptest::prelude::*;
+
+    /// One node-level input for the split-finder differential test.
+    #[derive(Debug)]
+    struct NodeCase {
+        table: Table,
+        attrs: Vec<AttrRef>,
+        labels: Vec<usize>,
+        rows: Vec<usize>,
+        min_leaf: usize,
+    }
+
+    /// A table whose condition attributes cover every split path: tied
+    /// integers, tied floats, integers with nulls, a dictionary
+    /// categorical (with a null group and, at high cardinality, more than
+    /// [`MAX_CATEGORIES`] values), and a boolean. Labels include
+    /// [`OUTLIER_LABEL`] rows; the node is an ascending row subset.
+    fn node_case() -> impl Strategy<Value = NodeCase> {
+        let row = (
+            (0i64..12, 0usize..8, -500.0f64..500.0),
+            (0i64..40, 0usize..10),
+            (0usize..30, 0usize..10, any::<bool>()),
+            (0usize..5, 0usize..12, 0usize..10),
+        );
+        (
+            proptest::collection::vec(row, 2..90),
+            1usize..=30,
+            0usize..5,
+            (0usize..4, 0.0f64..1.0),
+        )
+            .prop_map(|(rows, card, rotate, (leaf_pick, leaf_frac))| {
+                let n = rows.len();
+                let mut ints = Vec::with_capacity(n);
+                let mut floats = Vec::with_capacity(n);
+                let mut nullable = Vec::with_capacity(n);
+                let mut cats = Vec::with_capacity(n);
+                let mut flags = Vec::with_capacity(n);
+                let mut labels = Vec::with_capacity(n);
+                let mut keep = Vec::with_capacity(n);
+                for (
+                    r,
+                    ((int, tie, float), (nint, ncoin), (cat, ccoin, flag), (label, lcoin, kcoin)),
+                ) in rows.into_iter().enumerate()
+                {
+                    ints.push(int);
+                    // Mostly a few tied values, sometimes a distinct one.
+                    floats.push(if tie < 6 { tie as f64 * 0.37 } else { float });
+                    nullable.push(if ncoin == 0 {
+                        Value::Null
+                    } else {
+                        Value::Int(nint)
+                    });
+                    cats.push(if ccoin == 0 {
+                        Value::Null
+                    } else {
+                        Value::str(format!("c{}", cat % card))
+                    });
+                    flags.push(flag);
+                    labels.push(if lcoin == 0 { OUTLIER_LABEL } else { label });
+                    if kcoin < 8 || r == 0 {
+                        keep.push(r);
+                    }
+                }
+                let table = TableBuilder::new("node")
+                    .int_col("num", &ints)
+                    .float_col("fnum", &floats)
+                    .value_col("nnum", DataType::Int64, &nullable)
+                    .unwrap()
+                    .value_col("cat", DataType::Utf8, &cats)
+                    .unwrap()
+                    .bool_col("flag", &flags)
+                    .build()
+                    .unwrap();
+                let mut names = ["num", "fnum", "nnum", "cat", "flag"];
+                names.rotate_left(rotate);
+                let attrs = names
+                    .iter()
+                    .map(|a| table.schema().attr_ref(a).unwrap())
+                    .collect();
+                let half = keep.len() / 2;
+                let min_leaf = match leaf_pick {
+                    0 => 1,
+                    1 => half.max(1),
+                    2 => half + 1,
+                    _ => 1 + (leaf_frac * half as f64) as usize,
+                };
+                NodeCase {
+                    table,
+                    attrs,
+                    labels,
+                    rows: keep,
+                    min_leaf,
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// The count-based finder picks the same winner as the row-based
+        /// oracle: gain bits, descriptor, and yes/no rows in order. Its
+        /// children keep every attribute's rows in presorted order.
+        #[test]
+        fn count_sweep_matches_row_oracle(case in node_case()) {
+            let NodeCase { table, attrs, labels, rows, min_leaf } = case;
+            let n_labels = labels
+                .iter()
+                .copied()
+                .filter(|&l| l != OUTLIER_LABEL)
+                .max()
+                .map_or(1, |m| m + 1);
+            let expected = oracle::best_split(&table, &attrs, &labels, &rows, n_labels, min_leaf);
+            let prepare = |_: &AttrRef, col: &Column| SplitColumn::new(col).map(Arc::new);
+            let cart = Cart::new(&table, &attrs, &labels, n_labels, min_leaf, &prepare);
+            let node = cart.node(rows);
+            match (expected, cart.best_split(&node)) {
+                (None, None) => {}
+                (Some(old), Some(new)) => {
+                    prop_assert_eq!(old.gain.to_bits(), new.gain.to_bits());
+                    prop_assert_eq!(format!("{:?}", old.descriptor), format!("{:?}", new.descriptor));
+                    let (yes, no) = Cart::split(node, new, &mut vec![false; labels.len()]);
+                    prop_assert_eq!(&old.yes, &yes.rows);
+                    prop_assert_eq!(&old.no, &no.rows);
+                    for child in [&yes, &no] {
+                        let mut rows = child.rows.clone();
+                        rows.sort_unstable();
+                        prop_assert_eq!(&cart.node(rows).sorted, &child.sorted);
+                    }
+                }
+                (old, new) => {
+                    return Err(TestCaseError::fail(format!(
+                        "oracle found {:?}, count sweep found {:?}",
+                        old.map(|s| s.descriptor),
+                        new.map(|b| b.descriptor)
+                    )));
+                }
+            }
+        }
+    }
 
     /// Nine employees as in paper Example 1.
     fn emp() -> Table {

@@ -22,17 +22,19 @@
 //! re-derived through the relation layer's dictionary-code fast paths.
 
 use crate::combi::bounded_subsets;
+use crate::condition::{Condition, ConditionKey};
 use crate::config::CharlesConfig;
 use crate::ct::ConditionalTransformation;
 use crate::error::{CharlesError, Result};
-use crate::partition::{cluster_residuals, induce_partitions};
+use crate::partition::{cluster_residuals, induce_conditions, SplitColumn};
 use crate::score::ScoringContext;
 use crate::snap::snap_fit;
 use crate::summary::ChangeSummary;
 use crate::transform::{Term, Transformation};
 use charles_numerics::kernels;
 use charles_numerics::ols::{fit_constant, fit_ols_cols, LinearFit};
-use charles_relation::{AttrId, AttrRef, NumericView, SnapshotPair, Table};
+use charles_relation::{AttrId, AttrRef, Column, NumericView, SnapshotPair, Table};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -174,12 +176,44 @@ type LabelKey = (AttrId, LabelingKey);
 /// the cache instance).
 type CandidateKey = (AttrId, Vec<AttrId>, Vec<AttrId>, usize, u64);
 
+/// Memo key for one CART induction: condition subset and labeling.
+type CartKey = (Vec<AttrId>, LabelingKey);
+
+/// Memo key for one partition fit: transformation subset and the
+/// partition's structural condition.
+type PartitionFitKey = (Vec<AttrId>, ConditionKey);
+
+/// A fitted partition model and its mean absolute error (`None` when
+/// infeasible).
+type PartitionFit = Option<(Transformation, f64)>;
+
+/// Memos that live for one engine run, beside the session-lifetime
+/// [`PlaneCaches`]. Their values hold no row vectors: a partition's rows
+/// are a function of its condition and are re-derived with
+/// [`Condition::matching_rows`], so the memos stay small.
+#[derive(Default)]
+struct RunMemos {
+    /// Condition attributes prepared for split search (numeric ones
+    /// sorted), once per run.
+    split_columns: Mutex<HashMap<AttrId, Option<Arc<SplitColumn>>>>,
+    split_columns_prepared: AtomicUsize,
+    /// Leaf conditions per CART input: candidates that share a condition
+    /// subset and a labeling (all `T` sharing a Δ labeling do) grow one
+    /// tree.
+    cart: Mutex<HashMap<CartKey, Arc<Vec<Condition>>>>,
+    carts_computed: AtomicUsize,
+    /// Partition fits per (T, condition): trees over different labelings
+    /// often induce the same leaves.
+    partition_fits: Mutex<HashMap<PartitionFitKey, Arc<PartitionFit>>>,
+    partition_fits_computed: AtomicUsize,
+}
+
 /// Everything shared by candidate evaluations for one engine run.
 ///
 /// Construction performs exactly one extraction per numeric attribute;
 /// evaluation threads only ever read through shared views. The memo plane
 /// lives behind an `Arc` so a [`crate::session::Session`] can keep it alive
-/// across runs.
+/// across runs; the CART and partition-fit memos are the run's own.
 pub struct SearchContext<'a> {
     /// The aligned snapshot pair.
     pub pair: &'a SnapshotPair,
@@ -212,6 +246,8 @@ pub struct SearchContext<'a> {
     /// session-lifetime memo without bound. Fits and labelings are
     /// α-independent and always memoized.
     memoize_candidates: bool,
+    /// Run-scoped memos.
+    run: RunMemos,
 }
 
 /// Memo key for one clustering request. Clustering depends only on the
@@ -313,17 +349,18 @@ impl<'a> SearchContext<'a> {
             scoring,
             caches,
             memoize_candidates,
+            run: RunMemos::default(),
         })
     }
 
     /// Memoized clustering of one change signal.
     fn labels_for(&self, key: LabelingKey, signal: &[f64], k: usize) -> Result<Arc<Vec<usize>>> {
-        memoized(&self.caches.label_memo, (self.target_id, key), || {
-            self.caches
-                .labelings_computed
-                .fetch_add(1, Ordering::Relaxed);
-            Ok(Arc::new(cluster_residuals(signal, k, self.config)?))
-        })
+        memoized(
+            &self.caches.label_memo,
+            (self.target_id, key),
+            &self.caches.labelings_computed,
+            || Ok(Arc::new(cluster_residuals(signal, k, self.config)?)),
+        )
     }
 
     /// Memoized GROUP-BY-value labeling of one categorical condition
@@ -338,10 +375,8 @@ impl<'a> SearchContext<'a> {
         let labels = memoized(
             &self.caches.label_memo,
             (self.target_id, LabelingKey::Categorical(id)),
+            &self.caches.labelings_computed,
             || {
-                self.caches
-                    .labelings_computed
-                    .fetch_add(1, Ordering::Relaxed);
                 Ok(Arc::new(
                     categorical_labels(self.source(), attr).unwrap_or_default(),
                 ))
@@ -352,6 +387,72 @@ impl<'a> SearchContext<'a> {
 
     fn source(&self) -> &Table {
         self.pair.source()
+    }
+
+    /// A condition attribute prepared for split search, once per run.
+    fn split_column(&self, attr: &AttrRef, col: &Column) -> Option<Arc<SplitColumn>> {
+        let prepare = || SplitColumn::new(col).map(Arc::new);
+        match attr.id() {
+            Some(id) => memoized(
+                &self.run.split_columns,
+                id,
+                &self.run.split_columns_prepared,
+                || Ok(prepare()),
+            )
+            .ok()
+            .flatten(),
+            None => prepare(),
+        }
+    }
+
+    /// The leaf conditions of the CART tree over `cond_attrs` predicting
+    /// one labeling, memoized for the run (unresolved handles bypass it).
+    fn leaf_conditions(
+        &self,
+        cond_attrs: &[AttrRef],
+        labeling: Option<&LabelingKey>,
+        labels: &[usize],
+    ) -> Result<Arc<Vec<Condition>>> {
+        let induce = || {
+            let prepared = |attr: &AttrRef, col: &Column| self.split_column(attr, col);
+            Arc::new(induce_conditions(
+                self.source(),
+                cond_attrs,
+                labels,
+                self.config,
+                &prepared,
+            ))
+        };
+        match (attr_ids(cond_attrs), labeling) {
+            (Some(ids), Some(labeling)) => memoized(
+                &self.run.cart,
+                (ids, labeling.clone()),
+                &self.run.carts_computed,
+                || Ok(induce()),
+            ),
+            _ => Ok(induce()),
+        }
+    }
+
+    /// The fitted model of one partition, memoized for the run on
+    /// (`T`, condition): the partition's `rows` are a function of its
+    /// condition, so equal conditions fit identically.
+    fn partition_fit(
+        &self,
+        tran_attrs: &[AttrRef],
+        condition: &Condition,
+        rows: &[usize],
+    ) -> Result<Arc<PartitionFit>> {
+        let fit = || Arc::new(fit_partition(self, tran_attrs, rows));
+        match (attr_ids(tran_attrs), condition.key()) {
+            (Some(tran), Some(cond)) => memoized(
+                &self.run.partition_fits,
+                (tran, cond),
+                &self.run.partition_fits_computed,
+                || Ok(fit()),
+            ),
+            _ => Ok(fit()),
+        }
     }
 
     /// The shared scoring context.
@@ -383,11 +484,15 @@ impl<'a> SearchContext<'a> {
             .iter()
             .map(|a| a.id().ok_or_else(|| unresolved_attr(a)))
             .collect::<Result<_>>()?;
-        memoized(&self.caches.fit_memo, (self.target_id, key), || {
-            self.caches.fits_computed.fetch_add(1, Ordering::Relaxed);
-            let cols = self.columns_for(tran_attrs)?;
-            Ok(Arc::new(fit_ols_cols(&cols, &self.y_target).ok()))
-        })
+        memoized(
+            &self.caches.fit_memo,
+            (self.target_id, key),
+            &self.caches.fits_computed,
+            || {
+                let cols = self.columns_for(tran_attrs)?;
+                Ok(Arc::new(fit_ols_cols(&cols, &self.y_target).ok()))
+            },
+        )
     }
 }
 
@@ -413,9 +518,16 @@ pub(crate) fn change_signals(
 /// Double-checked memoization over a mutex-guarded map. The computation
 /// runs outside the lock: concurrent first-comers may race to compute the
 /// same entry, but every computation here is deterministic, so whichever
-/// insertion lands first is identical to the losers — and `or_insert`
-/// guarantees all callers observe the same shared value.
-pub(crate) fn memoized<K, V, F>(memo: &Mutex<HashMap<K, V>>, key: K, compute: F) -> Result<V>
+/// insertion lands first is identical to the losers, and all callers
+/// observe that one shared value. `computed` counts the insertions that
+/// land, so a race's losing computations are not counted and the counter
+/// does not depend on the thread schedule.
+pub(crate) fn memoized<K, V, F>(
+    memo: &Mutex<HashMap<K, V>>,
+    key: K,
+    computed: &AtomicUsize,
+    compute: F,
+) -> Result<V>
 where
     K: Eq + std::hash::Hash,
     V: Clone,
@@ -429,12 +541,22 @@ where
         return Ok(hit.clone());
     }
     let value = compute()?;
-    Ok(memo
+    match memo
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .entry(key)
-        .or_insert(value)
-        .clone())
+    {
+        Entry::Occupied(entry) => Ok(entry.get().clone()),
+        Entry::Vacant(entry) => {
+            computed.fetch_add(1, Ordering::Relaxed);
+            Ok(entry.insert(value).clone())
+        }
+    }
+}
+
+/// The interned ids of `attrs` (`None` if any handle is unresolved).
+fn attr_ids(attrs: &[AttrRef]) -> Option<Vec<AttrId>> {
+    attrs.iter().map(AttrRef::id).collect()
 }
 
 fn unresolved_attr(attr: &AttrRef) -> CharlesError {
@@ -779,38 +901,44 @@ fn categorical_labels(table: &Table, attr: &AttrRef) -> Option<Vec<usize>> {
     Some(groups.labels)
 }
 
-/// Build conditional transformations from one labeling.
+/// Build conditional transformations from one labeling (identified by
+/// `labeling` for the run's CART memo).
 fn cts_from_labels(
     ctx: &SearchContext<'_>,
     candidate: &Candidate,
+    labeling: Option<&LabelingKey>,
     labels: &[usize],
 ) -> Result<Vec<ConditionalTransformation>> {
     let n = ctx.y_target.len();
-    let specs = induce_partitions(ctx.source(), &candidate.cond_attrs, labels, ctx.config)?;
+    let conditions = ctx.leaf_conditions(&candidate.cond_attrs, labeling, labels)?;
     let tolerance = ctx.config.change_tolerance;
-    let mut cts = Vec::with_capacity(specs.len());
-    for spec in specs {
-        if spec.rows.is_empty() {
+    let mut cts = Vec::with_capacity(conditions.len());
+    for condition in conditions.iter() {
+        // The partitions are *exactly* what the conditions say.
+        let rows = condition.matching_rows(ctx.source())?;
+        if rows.is_empty() {
             continue;
         }
         // "No change" partitions get the identity transformation (the
         // hatched rectangle in the paper's step 10).
-        let unchanged = spec
-            .rows
+        let unchanged = rows
             .iter()
             .all(|&r| (ctx.y_target[r] - ctx.y_source[r]).abs() <= tolerance);
         let (transformation, mae) = if unchanged {
             (Transformation::Identity, 0.0)
         } else {
-            match fit_partition(ctx, &candidate.tran_attrs, &spec.rows) {
-                Some(ft) => ft,
+            match ctx
+                .partition_fit(&candidate.tran_attrs, condition, &rows)?
+                .as_ref()
+            {
+                Some(ft) => ft.clone(),
                 None => continue,
             }
         };
         cts.push(ConditionalTransformation::new(
-            spec.condition,
+            condition.clone(),
             transformation,
-            spec.rows,
+            rows,
             n,
             mae,
         ));
@@ -829,13 +957,15 @@ pub fn evaluate_candidate(
     ctx: &SearchContext<'_>,
     candidate: &Candidate,
 ) -> Result<Option<ChangeSummary>> {
-    let ids = |attrs: &[AttrRef]| -> Option<Vec<AttrId>> { attrs.iter().map(|a| a.id()).collect() };
     let key: Option<CandidateKey> = if !ctx.memoize_candidates {
         // Off-default-α session runs: compute without touching the memo
         // (see `SearchContext::memoize_candidates`).
         None
     } else {
-        match (ids(&candidate.cond_attrs), ids(&candidate.tran_attrs)) {
+        match (
+            attr_ids(&candidate.cond_attrs),
+            attr_ids(&candidate.tran_attrs),
+        ) {
             (Some(cond), Some(tran)) => Some((
                 ctx.target_id,
                 cond,
@@ -850,12 +980,12 @@ pub fn evaluate_candidate(
     let Some(key) = key else {
         return evaluate_candidate_uncached(ctx, candidate);
     };
-    let cached = memoized(&ctx.caches.candidate_memo, key, || {
-        ctx.caches
-            .candidates_computed
-            .fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::new(evaluate_candidate_uncached(ctx, candidate)?))
-    })?;
+    let cached = memoized(
+        &ctx.caches.candidate_memo,
+        key,
+        &ctx.caches.candidates_computed,
+        || Ok(Arc::new(evaluate_candidate_uncached(ctx, candidate)?)),
+    )?;
     Ok((*cached).clone())
 }
 
@@ -879,7 +1009,7 @@ fn evaluate_candidate_uncached(
     let scoring = ctx.scoring();
     let mut best: Option<(ChangeSummary, f64)> = None;
     let mut seen_labelings: Vec<Arc<Vec<usize>>> = Vec::new();
-    let mut labelings: Vec<Arc<Vec<usize>>> = Vec::new();
+    let mut labelings: Vec<(Option<LabelingKey>, Arc<Vec<usize>>)> = Vec::new();
     // The change signals candidate partitions are mined from: the global
     // fit's residuals (the paper's method) plus the direct absolute and
     // relative deltas (precomputed once per run — when latent groups differ
@@ -893,25 +1023,32 @@ fn evaluate_candidate_uncached(
         .map(|a| a.id().ok_or_else(|| unresolved_attr(a)))
         .collect::<Result<_>>()?;
     let k = candidate.k;
-    labelings.push(ctx.labels_for(LabelingKey::Residual(tkey, k), &global.residuals, k)?);
-    labelings.push(ctx.labels_for(LabelingKey::Delta(k), &ctx.delta, k)?);
-    labelings.push(ctx.labels_for(LabelingKey::RelDelta(k), &ctx.rel_delta, k)?);
+    for (key, signal) in [
+        (LabelingKey::Residual(tkey, k), global.residuals.as_slice()),
+        (LabelingKey::Delta(k), ctx.delta.as_slice()),
+        (LabelingKey::RelDelta(k), ctx.rel_delta.as_slice()),
+    ] {
+        let labels = ctx.labels_for(key.clone(), signal, k)?;
+        labelings.push((Some(key), labels));
+    }
     // For a single categorical condition attribute, the GROUP-BY-value
     // partitioning is an obvious candidate in its own right: when the
     // latent groups' change behaviours overlap in signal space (similar
     // slopes, wide value ranges), clustering cannot seed them, but a direct
     // per-value split still recovers them exactly.
     if let [attr] = candidate.cond_attrs.as_slice() {
-        labelings.extend(ctx.categorical_labels_for(attr)?);
+        if let Some(labels) = ctx.categorical_labels_for(attr)? {
+            labelings.push((attr.id().map(LabelingKey::Categorical), labels));
+        }
     }
-    for labels in labelings {
+    for (key, labels) in labelings {
         if seen_labelings
             .iter()
             .any(|seen| Arc::ptr_eq(seen, &labels) || **seen == *labels)
         {
             continue; // identical labeling ⇒ identical summary
         }
-        let cts = cts_from_labels(ctx, candidate, &labels)?;
+        let cts = cts_from_labels(ctx, candidate, key.as_ref(), &labels)?;
         seen_labelings.push(labels);
         if cts.is_empty() {
             continue;
@@ -1235,6 +1372,35 @@ mod tests {
         let b = ctx.global_fit(&t).unwrap();
         assert!(Arc::ptr_eq(&a, &b), "second lookup must hit the memo");
         assert!(a.is_some());
+    }
+
+    #[test]
+    fn run_memos_share_trees_and_partition_fits() {
+        let pair = example_pair();
+        let config = CharlesConfig::default();
+        let tran = vec!["bonus".to_string()];
+        let mut ctx = SearchContext::new(&pair, "bonus", &tran, &config).unwrap();
+        // Bypass the candidate memo, so a repeat evaluation reaches CART.
+        ctx.memoize_candidates = false;
+        let candidate = Candidate {
+            cond_attrs: refs(&pair, &["edu", "exp"]),
+            tran_attrs: refs(&pair, &["bonus"]),
+            k: 4,
+        };
+        let first = evaluate_candidate(&ctx, &candidate).unwrap().unwrap();
+        let count = |c: &AtomicUsize| c.load(Ordering::Relaxed);
+        let (carts, fits) = (
+            count(&ctx.run.carts_computed),
+            count(&ctx.run.partition_fits_computed),
+        );
+        assert!(carts > 0 && fits > 0);
+        let again = evaluate_candidate(&ctx, &candidate).unwrap().unwrap();
+        assert_eq!(again.to_string(), first.to_string());
+        assert_eq!(again.scores.score.to_bits(), first.scores.score.to_bits());
+        assert_eq!(count(&ctx.run.carts_computed), carts);
+        assert_eq!(count(&ctx.run.partition_fits_computed), fits);
+        // Each condition attribute (`edu`, `exp`) is prepared once.
+        assert_eq!(count(&ctx.run.split_columns_prepared), 2);
     }
 
     #[test]

@@ -623,27 +623,25 @@ impl Session {
     /// (errors — nulls, non-numeric — are not cached and surface on every
     /// attempt, mirroring direct extraction).
     fn source_view(&self, id: AttrId) -> Result<NumericView> {
-        memoized(&self.views, id, || {
-            let view = self.pair.source().numeric_view_by_id(id)?;
-            self.columns_extracted.fetch_add(1, Ordering::Relaxed);
-            Ok(view)
+        memoized(&self.views, id, &self.columns_extracted, || {
+            self.pair
+                .source()
+                .numeric_view_by_id(id)
+                .map_err(Into::into)
         })
     }
 
     /// Aligned target-side view of one attribute, cached per target.
     fn aligned_view(&self, name: &str, id: AttrId) -> Result<NumericView> {
-        memoized(&self.aligned, id, || {
-            let view = self.pair.target_numeric_view(name)?;
-            self.columns_extracted.fetch_add(1, Ordering::Relaxed);
-            Ok(view)
+        memoized(&self.aligned, id, &self.columns_extracted, || {
+            self.pair.target_numeric_view(name).map_err(Into::into)
         })
     }
 
     /// The per-target change-signal plane, built once per target.
     fn target_plane(&self, target: &AttrRef) -> Result<Arc<TargetPlane>> {
         let id = resolved_id(target)?;
-        memoized(&self.planes, id, || {
-            self.planes_built.fetch_add(1, Ordering::Relaxed);
+        memoized(&self.planes, id, &self.planes_built, || {
             let y_target = self.aligned_view(target.name(), id)?;
             let y_source = self.source_view(id)?;
             let (delta, rel_delta) = change_signals(&y_target, &y_source);
@@ -673,10 +671,12 @@ impl Session {
             self.setups_computed.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::new(analyze(&self.pair, target.name(), config)?));
         }
-        memoized(&self.setups, resolved_id(target)?, || {
-            self.setups_computed.fetch_add(1, Ordering::Relaxed);
-            Ok(Arc::new(analyze(&self.pair, target.name(), config)?))
-        })
+        memoized(
+            &self.setups,
+            resolved_id(target)?,
+            &self.setups_computed,
+            || Ok(Arc::new(analyze(&self.pair, target.name(), config)?)),
+        )
     }
 
     /// The query's effective configuration: its override or the session

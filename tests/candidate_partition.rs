@@ -5,6 +5,8 @@
 //! - Any thread count answers **byte-identically** to the `threads = 1`
 //!   oracle: rankings (display strings plus score bits), `sweep_alpha`
 //!   outputs, `targets()`, and — for failing queries — the error message.
+//!   A successful run also reports the same `Session::stats()` work
+//!   counters: threads racing on one memo entry count it once.
 //! - `run_search` over a permuted candidate slice ranks the same
 //!   summaries (same `signature()`, same score bits) as over the
 //!   generated order. Display strings are not compared there: among
@@ -59,18 +61,28 @@ fn assert_thread_equivalent(
     alphas: &[f64],
 ) -> Result<(), TestCaseError> {
     let oracle = session_with_threads(pair, 1);
+    let oracle_targets = oracle.targets().unwrap();
     let base = oracle.run(query);
+    let base_stats = oracle.stats();
     for &threads in &THREAD_COUNTS {
         let session = session_with_threads(pair, threads);
         prop_assert_eq!(
             session.targets().unwrap(),
-            oracle.targets().unwrap(),
+            oracle_targets.clone(),
             "targets() diverged at {} threads",
             threads
         );
         let subject = session.run(query);
         match (&base, &subject) {
             (Ok(expected), Ok(actual)) => {
+                prop_assert_eq!(
+                    session.stats(),
+                    base_stats,
+                    "work counters diverged at {} threads: {:?} vs {:?}",
+                    threads,
+                    session.stats(),
+                    base_stats
+                );
                 prop_assert_eq!(
                     fingerprint(actual),
                     fingerprint(expected),

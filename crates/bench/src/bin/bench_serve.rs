@@ -22,6 +22,12 @@
 //! ≥ 50x cold on the full 4k-row workload (≥ 5x under `--smoke`, which
 //! CI runs on a small row count).
 //!
+//! Ingest is timed too: the same pair's CSV text is uploaded with
+//! `POST /v1/datasets/{name}` (JSON decode + two `read_csv` + align +
+//! session open), each answer must report the pair's row count, and
+//! `read_csv` alone is timed in process for its MB/s. Neither has a speed
+//! floor.
+//!
 //! Run: `cargo run --release -p charles-bench --bin bench_serve [--smoke] [rows]`
 
 use charles_core::{ManagerConfig, SessionManager};
@@ -30,7 +36,7 @@ use charles_server::{
 };
 use charles_synth::county;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -51,6 +57,8 @@ fn main() {
     let target_path = dir.join("county_v2.csv");
     charles_relation::write_csv_path(&scenario.source, &source_path).expect("write source CSV");
     charles_relation::write_csv_path(&scenario.target, &target_path).expect("write target CSV");
+    let source_csv = std::fs::read_to_string(&source_path).expect("read source CSV");
+    let target_csv = std::fs::read_to_string(&target_path).expect("read target CSV");
 
     let manager = Arc::new(SessionManager::new(
         ManagerConfig::default().with_max_sessions(4),
@@ -135,6 +143,43 @@ fn main() {
         );
     }
 
+    // Ingest: upload the same pair as CSV text under a second name.
+    let upload_body = Json::obj([
+        ("source_csv", Json::str(source_csv.as_str())),
+        ("target_csv", Json::str(target_csv.as_str())),
+        ("key", Json::str("name")),
+    ])
+    .encode();
+    let upload_requests = if smoke { 1 } else { 10 };
+    let mut upload_total = Duration::ZERO;
+    for i in 0..upload_requests {
+        let started = Instant::now();
+        let response = client
+            .request("POST", "/v1/datasets/county_upload", Some(&upload_body))
+            .expect("upload");
+        upload_total += started.elapsed();
+        assert!(response.is_success(), "upload {i}: {}", response.body);
+        let answer = Json::parse(&response.body).expect("upload response JSON");
+        assert_eq!(
+            answer.get("rows").and_then(Json::as_usize),
+            Some(scenario.source.height()),
+            "upload {i} answered {}",
+            response.body
+        );
+    }
+    let upload_per_req = upload_total.as_secs_f64() / upload_requests as f64;
+    let mut read_csv_seconds: Vec<f64> = (0..upload_requests)
+        .map(|_| {
+            let started = Instant::now();
+            charles_relation::read_csv(source_csv.as_bytes()).expect("parse source CSV");
+            charles_relation::read_csv(target_csv.as_bytes()).expect("parse target CSV");
+            started.elapsed().as_secs_f64()
+        })
+        .collect();
+    read_csv_seconds.sort_by(f64::total_cmp);
+    let csv_mb = (source_csv.len() + target_csv.len()) as f64 / 1e6;
+    let read_csv_mb_s = csv_mb / read_csv_seconds[read_csv_seconds.len() / 2].max(1e-9);
+
     let cold_per_req = cold_total / cold_requests as f64;
     let warm_per_req = warm_total / warm_requests as f64;
     let cold_rps = 1.0 / cold_per_req.max(1e-9);
@@ -143,14 +188,15 @@ fn main() {
 
     let stats = manager.dataset_stats("county").expect("county stats");
     let json = format!(
-        "{{\n  \"workload\": \"e5_county_served\",\n  \"rows\": {rows},\n  \"protocol_version\": {PROTOCOL_VERSION},\n  \"server_workers\": 2,\n  \"smoke\": {smoke},\n  \"cold_requests\": {cold_requests},\n  \"warm_requests\": {warm_requests},\n  \"warm_keep_alive\": true,\n  \"cold_seconds_per_request\": {cold_per_req:.4},\n  \"warm_seconds_per_request\": {warm_per_req:.6},\n  \"cold_requests_per_sec\": {cold_rps:.2},\n  \"warm_requests_per_sec\": {warm_rps:.2},\n  \"served_warm_speedup\": {speedup:.2},\n  \"identical_rankings\": true,\n  \"dataset_opens\": {},\n  \"dataset_evictions\": {},\n  \"resident_bytes\": {}\n}}\n",
+        "{{\n  \"workload\": \"e5_county_served\",\n  \"rows\": {rows},\n  \"protocol_version\": {PROTOCOL_VERSION},\n  \"server_workers\": 2,\n  \"smoke\": {smoke},\n  \"cold_requests\": {cold_requests},\n  \"warm_requests\": {warm_requests},\n  \"warm_keep_alive\": true,\n  \"cold_seconds_per_request\": {cold_per_req:.4},\n  \"warm_seconds_per_request\": {warm_per_req:.6},\n  \"cold_requests_per_sec\": {cold_rps:.2},\n  \"warm_requests_per_sec\": {warm_rps:.2},\n  \"served_warm_speedup\": {speedup:.2},\n  \"identical_rankings\": true,\n  \"upload_requests\": {upload_requests},\n  \"upload_seconds_per_request\": {upload_per_req:.4},\n  \"read_csv_mb_s\": {read_csv_mb_s:.1},\n  \"dataset_opens\": {},\n  \"dataset_evictions\": {},\n  \"resident_bytes\": {}\n}}\n",
         stats.opens, stats.evictions, stats.approx_bytes,
     );
     std::fs::write("BENCH_serve.json", &json).expect("write BENCH_serve.json");
     print!("{json}");
     eprintln!(
         "cold {cold_per_req:.3}s/req ({cold_rps:.2} req/s) vs warm {warm_per_req:.5}s/req \
-         ({warm_rps:.1} req/s): {speedup:.1}x — wrote BENCH_serve.json"
+         ({warm_rps:.1} req/s): {speedup:.1}x; upload {upload_per_req:.4}s/req, read_csv \
+         {read_csv_mb_s:.0} MB/s — wrote BENCH_serve.json"
     );
 
     server.shutdown();

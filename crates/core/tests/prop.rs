@@ -2,7 +2,10 @@
 //! compilation, constant snapping budgets.
 
 use charles_core::snap::snap_fit;
-use charles_core::{CharlesConfig, Condition, Descriptor, ScoringContext, Term, Transformation};
+use charles_core::{
+    CharlesConfig, Condition, Descriptor, ManagerConfig, ScoringContext, SessionManager, Term,
+    Transformation,
+};
 use charles_numerics::ols::fit_ols;
 use charles_numerics::stats::{mean, std_dev};
 use charles_relation::{TableBuilder, Value};
@@ -115,5 +118,75 @@ proptest! {
         for s in [breakdown.size, breakdown.simplicity, breakdown.coverage, breakdown.normality] {
             prop_assert!((0.0..=1.0).contains(&s));
         }
+    }
+}
+
+/// A byte run that breaks CSV structure: quotes, separators, line
+/// endings, a BOM.
+fn csv_noise() -> BoxedStrategy<&'static str> {
+    prop_oneof![
+        Just("\""),
+        Just(","),
+        Just("\r"),
+        Just("\n"),
+        Just("\r\n"),
+        Just("\u{feff}")
+    ]
+    .boxed()
+}
+
+/// Fuzzed CSV text: `name,x` records with numbers, floats, booleans,
+/// currency, quoted fields and nulls, spliced with noise that breaks the
+/// header, the quoting, the row width or the key's uniqueness.
+fn fuzzed_csv() -> impl Strategy<Value = String> {
+    let cell = prop_oneof![
+        4 => Just("1"),
+        3 => Just("2.5"),
+        2 => Just("yes"),
+        2 => Just(""),
+        2 => Just("a"),
+        1 => Just("\"q,\"\"r\"\"\""),
+        1 => Just(" "),
+        1 => Just("$3")
+    ];
+    let row = (
+        0usize..8,
+        cell,
+        prop_oneof![8 => Just(""), 1 => csv_noise()],
+        prop_oneof![Just("\n"), Just("\r\n")],
+    );
+    let header = prop_oneof![
+        6 => Just("name,x\n"),
+        2 => Just("\u{feff}name,x\r\n"),
+        1 => csv_noise()
+    ];
+    (header, proptest::collection::vec(row, 0..12)).prop_map(|(header, rows)| {
+        let mut doc = header.to_string();
+        for (i, (dup, x, noise, end)) in rows.iter().enumerate() {
+            // Mostly unique keys; `n0` repeats now and then.
+            let name = if *dup == 0 { 0 } else { i };
+            doc.push_str(&format!("n{name},{x}{noise}{end}"));
+        }
+        doc
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// CSV ingress through `DatasetSpec::CsvInline`: any text registers or
+    /// returns a typed error, never a panic.
+    #[test]
+    fn inline_csv_ingest_never_panics(
+        source in fuzzed_csv(),
+        other in fuzzed_csv(),
+        same in any::<bool>(),
+        keyed in any::<bool>(),
+    ) {
+        let target = if same { source.clone() } else { other };
+        let manager = SessionManager::new(ManagerConfig::default());
+        let key = keyed.then(|| "name".to_string());
+        let registered = manager.register_csv_inline("fuzz", source, target, key);
+        prop_assert_eq!(manager.contains("fuzz"), registered.is_ok());
     }
 }

@@ -20,7 +20,7 @@ fn value_of(dtype: DataType) -> BoxedStrategy<Value> {
         ]
         .boxed(),
         DataType::Utf8 => prop_oneof![
-            3 => "[a-zA-Z0-9 ,\"'μ≥-]{0,12}".prop_map(Value::str),
+            3 => "[a-zA-Z0-9 ,\"'μ≥\n-]{0,12}".prop_map(Value::str),
             1 => Just(Value::Null)
         ]
         .boxed(),
@@ -228,7 +228,15 @@ fn csv_handles_adversarial_strings() {
     let table = charles_relation::TableBuilder::new("t")
         .str_col(
             "s",
-            &["a,b", "he said \"hi\"", "", "  spaced  ", "∅", "line"],
+            &[
+                "a,b",
+                "he said \"hi\"",
+                "",
+                "  spaced  ",
+                "∅",
+                "line",
+                "a\nb",
+            ],
         )
         .build()
         .unwrap();
@@ -239,4 +247,5 @@ fn csv_handles_adversarial_strings() {
     assert_eq!(back.value(1, "s").unwrap(), Value::str("he said \"hi\""));
     // Empty string becomes null through CSV (documented limitation).
     assert_eq!(back.value(2, "s").unwrap(), Value::Null);
+    assert_eq!(back.value(6, "s").unwrap(), Value::str("a\nb"));
 }

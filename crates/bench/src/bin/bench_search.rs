@@ -24,6 +24,12 @@
 //! The binary asserts the warm rerun is ≥ 5× faster with byte-identical
 //! ranked summaries, and records `session_warm_speedup`.
 //!
+//! A default-shortlist section times the query users issue without
+//! naming attributes, `Query::new(target)` (the setup assistant picks the
+//! shortlists), at one search thread on a fresh session: the median of
+//! [`SHORTLIST_REPS`] runs lands in `default_shortlist_seconds`, its
+//! candidate count in `default_shortlist_candidates`.
+//!
 //! A fourth section measures the **compressed** mode: the same query on
 //! a session whose columns are sealed into per-block encodings. The binary
 //! asserts its rankings, score bits, and α-sweeps are byte-identical to
@@ -51,6 +57,9 @@ use std::time::Instant;
 
 /// Alternating shared/naive repetitions behind the reported speedup.
 const AB_REPS: usize = 5;
+
+/// Cold runs of the default-shortlist query behind its reported time.
+const SHORTLIST_REPS: usize = 3;
 
 /// Median of a non-empty sample.
 fn median(samples: &[f64]) -> f64 {
@@ -273,6 +282,27 @@ fn main() {
         "session and one-shot engine disagree"
     );
 
+    // The default-shortlist query: no attribute names, one search thread,
+    // a fresh session per run so every run is cold.
+    let mut shortlist_samples = Vec::with_capacity(SHORTLIST_REPS);
+    let mut shortlist_candidates = 0usize;
+    for _ in 0..SHORTLIST_REPS {
+        let session =
+            Session::open_with_config(pair.clone(), CharlesConfig::default().with_threads(1))
+                .expect("shortlist session");
+        let started = Instant::now();
+        let result = session
+            .run(&Query::new(target))
+            .expect("default-shortlist run");
+        shortlist_samples.push(started.elapsed().as_secs_f64());
+        shortlist_candidates = result.stats.candidates;
+    }
+    let shortlist_secs = median(&shortlist_samples);
+    eprintln!(
+        "default-shortlist query: {shortlist_candidates} candidates, \
+         {shortlist_secs:.3} s (median of {SHORTLIST_REPS}, threads=1)"
+    );
+
     // The raw-plane reference the sealed sessions below must match.
     let raw_session = Session::open(pair.clone()).expect("raw session");
     let raw_result = raw_session.run(&query).expect("raw run");
@@ -388,7 +418,7 @@ fn main() {
     let shared_tput = n_cands / shared_secs;
     let naive_tput = n_cands / naive_secs;
     let json = format!(
-        "{{\n  \"workload\": \"e5_county_scalability\",\n  \"rows\": {rows},\n  \"candidates\": {},\n  \"summaries_produced\": {produced},\n  \"naive_seconds\": {naive_secs:.4},\n  \"shared_seconds\": {shared_secs:.4},\n  \"naive_candidates_per_sec\": {naive_tput:.2},\n  \"shared_candidates_per_sec\": {shared_tput:.2},\n  \"speedup\": {speedup:.2},\n  \"naive_seconds_samples\": {},\n  \"shared_seconds_samples\": {},\n  \"speedup_samples\": {},\n  \"gram_rows_per_sec\": {gram_rows_per_sec:.0},\n  \"moments_rows_per_sec\": {moments_rows_per_sec:.0},\n  \"kernel_vs_scalar_speedup\": {kernel_vs_scalar_speedup:.2},\n  \"moments_vs_scalar_speedup\": {moments_vs_scalar_speedup:.2},\n  \"parallel_search_seconds\": {parallel_secs:.4},\n  \"parallel_threads\": {},\n  \"ranked_summaries\": {},\n  \"distinct_summaries\": {},\n  \"session_cold_seconds\": {session_cold_secs:.4},\n  \"session_warm_seconds\": {session_warm_secs:.6},\n  \"session_warm_speedup\": {session_warm_speedup:.2},\n  \"compressed_bytes_per_row\": {compressed_bytes_per_row:.2},\n  \"compression_ratio\": {compression_ratio:.2},\n  \"zone_map_block_skip_frac\": {zone_map_block_skip_frac:.3},\n  \"sealed_run_seconds\": {sealed_secs:.4},\n  \"sealed_rankings_identical\": true\n}}\n",
+        "{{\n  \"workload\": \"e5_county_scalability\",\n  \"rows\": {rows},\n  \"candidates\": {},\n  \"summaries_produced\": {produced},\n  \"naive_seconds\": {naive_secs:.4},\n  \"shared_seconds\": {shared_secs:.4},\n  \"naive_candidates_per_sec\": {naive_tput:.2},\n  \"shared_candidates_per_sec\": {shared_tput:.2},\n  \"speedup\": {speedup:.2},\n  \"naive_seconds_samples\": {},\n  \"shared_seconds_samples\": {},\n  \"speedup_samples\": {},\n  \"gram_rows_per_sec\": {gram_rows_per_sec:.0},\n  \"moments_rows_per_sec\": {moments_rows_per_sec:.0},\n  \"kernel_vs_scalar_speedup\": {kernel_vs_scalar_speedup:.2},\n  \"moments_vs_scalar_speedup\": {moments_vs_scalar_speedup:.2},\n  \"parallel_search_seconds\": {parallel_secs:.4},\n  \"parallel_threads\": {},\n  \"ranked_summaries\": {},\n  \"distinct_summaries\": {},\n  \"session_cold_seconds\": {session_cold_secs:.4},\n  \"session_warm_seconds\": {session_warm_secs:.6},\n  \"session_warm_speedup\": {session_warm_speedup:.2},\n  \"default_shortlist_seconds\": {shortlist_secs:.4},\n  \"default_shortlist_candidates\": {shortlist_candidates},\n  \"compressed_bytes_per_row\": {compressed_bytes_per_row:.2},\n  \"compression_ratio\": {compression_ratio:.2},\n  \"zone_map_block_skip_frac\": {zone_map_block_skip_frac:.3},\n  \"sealed_run_seconds\": {sealed_secs:.4},\n  \"sealed_rankings_identical\": true\n}}\n",
         candidates.len(),
         json_array(&naive_samples, 4),
         json_array(&shared_samples, 4),

@@ -17,6 +17,10 @@ pub enum PartitionMethod {
     ResidualDbscan,
 }
 
+/// Deepest condition-induction tree a configuration may ask for. A tree of
+/// this depth has at most 2^16 leaves, so every leaf id fits a `u16`.
+pub(crate) const MAX_TREE_DEPTH: usize = 16;
+
 /// Full engine configuration.
 ///
 /// Defaults mirror the paper's demo: `α = 0.5`, up to `c = 3` condition
@@ -50,7 +54,8 @@ pub struct CharlesConfig {
     /// may condition on (enforced by subset enumeration), while a tree may
     /// legitimately split several times on the same attribute (e.g. one
     /// equality per industry). Deeper trees yield more descriptors, which
-    /// the interpretability score already penalizes.
+    /// the interpretability score already penalizes. At most 16, so that
+    /// every leaf of a tree has a `u16` id.
     pub max_tree_depth: usize,
     /// Relative accuracy loss tolerated when snapping a constant to a
     /// rounder value (normality), e.g. 0.02 = 2%.
@@ -202,8 +207,11 @@ impl CharlesConfig {
                 "snap_tolerance must be non-negative".into(),
             ));
         }
-        if self.max_tree_depth == 0 {
-            return Err(CharlesError::BadConfig("max_tree_depth must be ≥ 1".into()));
+        if !(1..=MAX_TREE_DEPTH).contains(&self.max_tree_depth) {
+            return Err(CharlesError::BadConfig(format!(
+                "max_tree_depth must be in [1, {MAX_TREE_DEPTH}], got {}",
+                self.max_tree_depth
+            )));
         }
         if self.accuracy_sharpness <= 0.0 || !self.accuracy_sharpness.is_finite() {
             return Err(CharlesError::BadConfig(format!(
@@ -308,6 +316,22 @@ mod tests {
             ..CharlesConfig::default()
         };
         assert!(c.validate().is_err());
+    }
+
+    #[test]
+    fn tree_depth_bounded_so_leaf_ids_fit_u16() {
+        let depth = |max_tree_depth| CharlesConfig {
+            max_tree_depth,
+            ..CharlesConfig::default()
+        };
+        assert!(depth(1).validate().is_ok());
+        assert!(depth(MAX_TREE_DEPTH).validate().is_ok());
+        for bad in [0, MAX_TREE_DEPTH + 1, usize::MAX] {
+            assert!(
+                matches!(depth(bad).validate(), Err(CharlesError::BadConfig(_))),
+                "max_tree_depth = {bad} must be rejected"
+            );
+        }
     }
 
     #[test]

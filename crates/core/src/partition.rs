@@ -15,10 +15,10 @@
 //! they suggested that conditions can express becomes exact.
 
 use crate::condition::{Condition, Descriptor};
-use crate::config::{CharlesConfig, PartitionMethod};
+use crate::config::{CharlesConfig, PartitionMethod, MAX_TREE_DEPTH};
 use crate::error::Result;
 use charles_cluster::{dbscan, kmeans_1d};
-use charles_numerics::normality::{roundness, snap_candidates};
+use charles_numerics::normality::{roundness, scored_snap_candidates};
 use charles_numerics::stats::{mad, median};
 use charles_relation::{AttrRef, Column, Table, Value};
 use std::sync::Arc;
@@ -195,13 +195,11 @@ fn nice_threshold(below: f64, above: f64) -> f64 {
     let mid = (below + above) / 2.0;
     let mut best = above; // `x < above` is always a valid boundary
     let mut best_r = roundness(above);
-    for cand in snap_candidates(mid) {
-        if cand > below && cand <= above {
-            let r = roundness(cand);
-            if r > best_r || (r == best_r && (cand - mid).abs() < (best - mid).abs()) {
-                best = cand;
-                best_r = r;
-            }
+    for (cand, r) in scored_snap_candidates(mid) {
+        let rounder = r > best_r || (r == best_r && (cand - mid).abs() < (best - mid).abs());
+        if cand > below && cand <= above && rounder {
+            best = cand;
+            best_r = r;
         }
     }
     best
@@ -223,6 +221,18 @@ pub(crate) enum SplitColumn {
 }
 
 impl SplitColumn {
+    /// Whether some row holds a null or a NaN: the values a tree can route
+    /// down a path its leaf's condition does not match.
+    fn has_gaps(&self) -> bool {
+        match self {
+            // Nulls are left out of `order`; NaNs sort last in it.
+            SplitColumn::Numeric { order, values } => {
+                order.len() < values.len() || order.last().is_some_and(|&r| values[r].is_nan())
+            }
+            SplitColumn::Categorical { values, .. } => values.iter().any(Value::is_null),
+        }
+    }
+
     /// Prepare one column (`None` if it is neither numeric nor groupable).
     pub(crate) fn new(col: &Column) -> Option<SplitColumn> {
         if col.dtype().is_numeric() {
@@ -633,18 +643,57 @@ fn simplify_path(path: Vec<Descriptor>) -> Vec<Descriptor> {
     out
 }
 
-/// Induce the leaf conditions of a CART tree over `cond_attrs` that
-/// predicts `labels`: disjoint, covering conditions, ordered by their
-/// first matching row. With `cond_attrs` empty (or labels constant), the
-/// single universal condition. `prepared` supplies each attribute's
+/// The leaves of one CART tree: disjoint conditions ordered by the first
+/// row the tree sent to them, and each row's leaf.
+#[derive(Debug)]
+pub(crate) struct Leaves {
+    /// Leaf conditions in tree-first-row order.
+    pub(crate) conditions: Vec<Condition>,
+    /// The index into `conditions` of each row's leaf. Depth is capped at
+    /// [`MAX_TREE_DEPTH`], so a tree has at most 2^16 leaves.
+    pub(crate) leaf_of_row: Vec<u16>,
+    /// Rows no leaf condition matches (ascending; their `leaf_of_row` is
+    /// meaningless). Only a null can be one: it satisfies no descriptor.
+    pub(crate) unmatched: Vec<usize>,
+}
+
+impl Leaves {
+    /// Every leaf's rows, ascending, bucketed in one pass over the rows:
+    /// exactly the rows each leaf's condition matches.
+    pub(crate) fn rows(&self) -> Vec<Vec<usize>> {
+        let mut sizes = vec![0usize; self.conditions.len()];
+        for &leaf in &self.leaf_of_row {
+            sizes[usize::from(leaf)] += 1;
+        }
+        let mut rows: Vec<Vec<usize>> = sizes.into_iter().map(Vec::with_capacity).collect();
+        let mut unmatched = self.unmatched.iter().peekable();
+        for (r, &leaf) in self.leaf_of_row.iter().enumerate() {
+            if unmatched.next_if_eq(&&r).is_none() {
+                rows[usize::from(leaf)].push(r);
+            }
+        }
+        rows
+    }
+}
+
+/// Induce the leaves of a CART tree over `cond_attrs` that predicts
+/// `labels`. With `cond_attrs` empty (or labels constant), the single
+/// universal condition. `prepared` supplies each attribute's
 /// [`SplitColumn`], so a search prepares each attribute once per run.
+///
+/// A leaf's rows are the rows its (simplified) condition matches. Where
+/// no split attribute holds a null or a NaN, those are the rows the tree
+/// sent to the leaf, so no table is scanned. Otherwise a row can take a
+/// path its leaf's condition does not match (a null goes down the `≠`
+/// side of an equality split, and `≠` matches no null), and each leaf's
+/// rows are found by matching its condition.
 pub(crate) fn induce_conditions(
     table: &Table,
     cond_attrs: &[AttrRef],
     labels: &[usize],
     config: &CharlesConfig,
     prepared: &dyn Fn(&AttrRef, &Column) -> Option<Arc<SplitColumn>>,
-) -> Vec<Condition> {
+) -> Result<Leaves> {
     let n = table.height();
     let n_labels = labels
         .iter()
@@ -653,15 +702,22 @@ pub(crate) fn induce_conditions(
         .max()
         .map_or(1, |m| m + 1);
     if cond_attrs.is_empty() || n_labels <= 1 || n == 0 {
-        return vec![Condition::all()];
+        return Ok(Leaves {
+            conditions: vec![Condition::all()],
+            leaf_of_row: vec![0; n],
+            unmatched: Vec::new(),
+        });
     }
     let min_leaf = ((n as f64 * config.min_partition_fraction).ceil() as usize).max(1);
-    let max_depth = config.max_tree_depth.max(1);
+    // Clamped as `validate` bounds it, so an unvalidated config cannot
+    // grow more leaves than a `u16` id can name.
+    let max_depth = config.max_tree_depth.clamp(1, MAX_TREE_DEPTH);
     let cart = Cart::new(table, cond_attrs, labels, n_labels, min_leaf, prepared);
+    let tree_rows_exact = !cart.columns.iter().flatten().any(|c| c.has_gaps());
 
     // Recursive growth with an explicit stack.
     let mut in_yes = vec![false; labels.len()];
-    let mut leaves: Vec<(usize, Condition)> = Vec::new();
+    let mut leaves: Vec<(usize, Condition, Vec<usize>)> = Vec::new();
     let mut stack = vec![cart.node((0..n).collect())];
     while let Some(node) = stack.pop() {
         let stop = node.depth >= max_depth
@@ -675,24 +731,43 @@ pub(crate) fn induce_conditions(
             }
             None => {
                 let condition = Condition::new(simplify_path(node.path));
-                if cfg!(debug_assertions) {
-                    if let Ok(rows) = condition.matching_rows(table) {
-                        let mut tree_rows = node.rows.clone();
-                        tree_rows.sort_unstable();
-                        debug_assert_eq!(
-                            rows, tree_rows,
-                            "simplified condition must select the same rows as the tree path"
-                        );
-                    }
-                }
                 let first = node.rows.iter().copied().min().unwrap_or(usize::MAX);
-                leaves.push((first, condition));
+                leaves.push((first, condition, node.rows));
             }
         }
     }
     // Deterministic order: by first row id.
-    leaves.sort_by_key(|&(first, _)| first);
-    leaves.into_iter().map(|(_, condition)| condition).collect()
+    leaves.sort_by_key(|&(first, _, _)| first);
+    let mut leaf_of_row = vec![0u16; n];
+    let mut matched = vec![false; n];
+    let mut conditions = Vec::with_capacity(leaves.len());
+    for (leaf, (_, condition, tree_rows)) in (0..=u16::MAX).zip(leaves) {
+        let rows = if tree_rows_exact {
+            if cfg!(debug_assertions) {
+                let mut sorted = tree_rows.clone();
+                sorted.sort_unstable();
+                debug_assert_eq!(
+                    condition.matching_rows(table).ok(),
+                    Some(sorted),
+                    "simplified condition must select the same rows as the tree path"
+                );
+            }
+            tree_rows
+        } else {
+            condition.matching_rows(table)?
+        };
+        for r in rows {
+            debug_assert!(!matched[r], "leaf conditions must be disjoint");
+            leaf_of_row[r] = leaf;
+            matched[r] = true;
+        }
+        conditions.push(condition);
+    }
+    Ok(Leaves {
+        conditions,
+        leaf_of_row,
+        unmatched: (0..n).filter(|&r| !matched[r]).collect(),
+    })
 }
 
 /// Induce expressible partitions from cluster labels.
@@ -707,15 +782,14 @@ pub fn induce_partitions(
     config: &CharlesConfig,
 ) -> Result<Vec<PartitionSpec>> {
     let prepare = |_: &AttrRef, col: &Column| SplitColumn::new(col).map(Arc::new);
-    induce_conditions(table, cond_attrs, labels, config, &prepare)
+    let leaves = induce_conditions(table, cond_attrs, labels, config, &prepare)?;
+    let rows = leaves.rows();
+    Ok(leaves
+        .conditions
         .into_iter()
-        .map(|condition| {
-            // The partitions are *exactly* what the conditions say: rows
-            // are re-evaluated from the (simplified) condition.
-            let rows = condition.matching_rows(table)?;
-            Ok(PartitionSpec { condition, rows })
-        })
-        .collect()
+        .zip(rows)
+        .map(|(condition, rows)| PartitionSpec { condition, rows })
+        .collect())
 }
 
 /// The split finder CART used before it worked from label counts:
@@ -1064,6 +1138,108 @@ mod tests {
                 }
             }
         }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Every leaf's bucketed rows are exactly the rows its simplified
+        /// condition matches; the leaves are disjoint, and the rows in no
+        /// leaf are the listed unmatched ones. `gaps` picks the table: 0
+        /// fills every null (the tree's rows are used as they are), 1 keeps
+        /// `node_case`'s nulls, 2 adds NaNs of both signs. The tree-path
+        /// check in `induce_conditions` runs in debug builds only; this
+        /// also runs in release.
+        #[test]
+        fn leaf_rows_equal_condition_rows(
+            case in node_case(),
+            depth in 1usize..=MAX_TREE_DEPTH,
+            gaps in 0usize..3,
+            nan_rows in proptest::collection::vec(0usize..90, 1..4),
+        ) {
+            let NodeCase { mut table, attrs, labels, min_leaf, .. } = case;
+            let n = table.height();
+            if gaps == 0 {
+                for (name, fill) in [("cat", Value::str("c0")), ("nnum", Value::Int(0))] {
+                    let col = table.column_by_name_mut(name).unwrap();
+                    for r in (0..n).filter(|&r| !col.is_valid(r)).collect::<Vec<_>>() {
+                        col.set(r, fill.clone()).unwrap();
+                    }
+                }
+            }
+            if gaps == 2 {
+                let col = table.column_by_name_mut("fnum").unwrap();
+                for &r in nan_rows.iter().filter(|&&r| r < n) {
+                    let nan = if r % 2 == 0 { f64::NAN } else { -f64::NAN };
+                    col.set(r, Value::Float(nan)).unwrap();
+                }
+            }
+            let config = CharlesConfig {
+                min_partition_fraction: (min_leaf - 1) as f64 / n as f64,
+                max_tree_depth: depth,
+                ..CharlesConfig::default()
+            };
+            let prepare = |_: &AttrRef, col: &Column| SplitColumn::new(col).map(Arc::new);
+            let leaves = induce_conditions(&table, &attrs, &labels, &config, &prepare).unwrap();
+            prop_assert_eq!(leaves.leaf_of_row.len(), n);
+            let rows = leaves.rows();
+            prop_assert_eq!(rows.len(), leaves.conditions.len());
+            let mut covered = vec![0usize; n];
+            for (condition, rows) in leaves.conditions.iter().zip(&rows) {
+                prop_assert_eq!(rows, &condition.matching_rows(&table).unwrap(), "{}", condition);
+                for &r in rows {
+                    covered[r] += 1;
+                }
+            }
+            prop_assert!(covered.iter().all(|&c| c <= 1), "leaves overlap");
+            let uncovered: Vec<usize> = (0..n).filter(|&r| covered[r] == 0).collect();
+            prop_assert_eq!(&uncovered, &leaves.unmatched);
+            if gaps == 0 {
+                prop_assert!(uncovered.is_empty(), "leaves must cover a table without nulls");
+            }
+        }
+    }
+
+    /// A tree that keeps splitting past any depth: 300 rows of distinct
+    /// values with scrambled labels.
+    fn deep_tree(depth: usize) -> Leaves {
+        let n = 300;
+        let xs: Vec<f64> = (0..n).map(|i| (i * 37 % n) as f64).collect();
+        let ys: Vec<i64> = (0..n as i64).map(|i| i * 11 % 29).collect();
+        let table = TableBuilder::new("deep")
+            .float_col("x", &xs)
+            .int_col("y", &ys)
+            .build()
+            .unwrap();
+        let attrs: Vec<AttrRef> = ["x", "y"]
+            .iter()
+            .map(|a| table.schema().attr_ref(a).unwrap())
+            .collect();
+        let labels: Vec<usize> = (0..n).map(|i| (i * 7919 + i / 3) % 3).collect();
+        let config = CharlesConfig {
+            min_partition_fraction: 0.0,
+            max_tree_depth: depth,
+            ..CharlesConfig::default()
+        };
+        let prepare = |_: &AttrRef, col: &Column| SplitColumn::new(col).map(Arc::new);
+        induce_conditions(&table, &attrs, &labels, &config, &prepare).unwrap()
+    }
+
+    /// What a leaf set says: its conditions, rendered, and its row ids.
+    fn rendered(leaves: &Leaves) -> (Vec<String>, Vec<u16>) {
+        let conditions = leaves.conditions.iter().map(|c| c.to_string()).collect();
+        (conditions, leaves.leaf_of_row.clone())
+    }
+
+    #[test]
+    fn unvalidated_depth_is_clamped_to_leaf_id_range() {
+        let capped = rendered(&deep_tree(MAX_TREE_DEPTH));
+        // The tree still grows at the cap, so the clamp is what stops it.
+        assert_ne!(rendered(&deep_tree(MAX_TREE_DEPTH - 1)), capped);
+        for depth in [MAX_TREE_DEPTH + 1, 64, usize::MAX] {
+            assert_eq!(rendered(&deep_tree(depth)), capped, "depth {depth}");
+        }
+        assert_eq!(rendered(&deep_tree(0)), rendered(&deep_tree(1)));
     }
 
     /// Nine employees as in paper Example 1.

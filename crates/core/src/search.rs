@@ -19,14 +19,14 @@
 //! `(C, k)` reuse one [`LinearFit`]. The per-candidate loop therefore
 //! performs no full-column clones and no string-keyed map lookups: columns
 //! are reached through interned [`AttrId`]s, and partition rows are
-//! re-derived through the relation layer's dictionary-code fast paths.
+//! bucketed from the CART tree's per-row leaf ids in one pass.
 
 use crate::combi::bounded_subsets;
 use crate::condition::{Condition, ConditionKey};
 use crate::config::CharlesConfig;
 use crate::ct::ConditionalTransformation;
 use crate::error::{CharlesError, Result};
-use crate::partition::{cluster_residuals, induce_conditions, SplitColumn};
+use crate::partition::{cluster_residuals, induce_conditions, Leaves, SplitColumn};
 use crate::score::ScoringContext;
 use crate::snap::snap_fit;
 use crate::summary::ChangeSummary;
@@ -188,19 +188,19 @@ type PartitionFitKey = (Vec<AttrId>, ConditionKey);
 type PartitionFit = Option<(Transformation, f64)>;
 
 /// Memos that live for one engine run, beside the session-lifetime
-/// [`PlaneCaches`]. Their values hold no row vectors: a partition's rows
-/// are a function of its condition and are re-derived with
-/// [`Condition::matching_rows`], so the memos stay small.
+/// [`PlaneCaches`]. Their values hold no row vectors: a tree's leaves keep
+/// one `u16` leaf id per row, from which a candidate buckets its
+/// partitions' rows, so the memos stay small.
 #[derive(Default)]
 struct RunMemos {
     /// Condition attributes prepared for split search (numeric ones
     /// sorted), once per run.
     split_columns: Mutex<HashMap<AttrId, Option<Arc<SplitColumn>>>>,
     split_columns_prepared: AtomicUsize,
-    /// Leaf conditions per CART input: candidates that share a condition
+    /// Tree leaves per CART input: candidates that share a condition
     /// subset and a labeling (all `T` sharing a Δ labeling do) grow one
     /// tree.
-    cart: Mutex<HashMap<CartKey, Arc<Vec<Condition>>>>,
+    cart: Mutex<HashMap<CartKey, Arc<Leaves>>>,
     carts_computed: AtomicUsize,
     /// Partition fits per (T, condition): trees over different labelings
     /// often induce the same leaves.
@@ -405,32 +405,32 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    /// The leaf conditions of the CART tree over `cond_attrs` predicting
-    /// one labeling, memoized for the run (unresolved handles bypass it).
-    fn leaf_conditions(
+    /// The leaves of the CART tree over `cond_attrs` predicting one
+    /// labeling, memoized for the run (unresolved handles bypass it).
+    fn leaves(
         &self,
         cond_attrs: &[AttrRef],
         labeling: Option<&LabelingKey>,
         labels: &[usize],
-    ) -> Result<Arc<Vec<Condition>>> {
+    ) -> Result<Arc<Leaves>> {
         let induce = || {
             let prepared = |attr: &AttrRef, col: &Column| self.split_column(attr, col);
-            Arc::new(induce_conditions(
+            Ok(Arc::new(induce_conditions(
                 self.source(),
                 cond_attrs,
                 labels,
                 self.config,
                 &prepared,
-            ))
+            )?))
         };
         match (attr_ids(cond_attrs), labeling) {
             (Some(ids), Some(labeling)) => memoized(
                 &self.run.cart,
                 (ids, labeling.clone()),
                 &self.run.carts_computed,
-                || Ok(induce()),
+                induce,
             ),
-            _ => Ok(induce()),
+            _ => induce(),
         }
     }
 
@@ -841,15 +841,20 @@ fn merge_conditions(
 /// chosen attribute, so semantically-identical siblings are common
 /// (`POL ∧ grade < 24` and `POL ∧ grade ≥ 24`, both "4% + $1500"); merging
 /// restores the minimal rule list.
+///
+/// "Same" means equal rendered [`Transformation::signature`]s (coefficients
+/// to 9 decimals). Each CT's signature is rendered once: a merged CT keeps
+/// the first CT's transformation, so its signature does not change.
 fn merge_equivalent_cts(
     mut cts: Vec<ConditionalTransformation>,
     total_rows: usize,
 ) -> Vec<ConditionalTransformation> {
+    let mut signatures: Vec<String> = cts.iter().map(|ct| ct.transformation.signature()).collect();
     loop {
         let mut merged: Option<(usize, usize, crate::condition::Condition)> = None;
         'outer: for i in 0..cts.len() {
             for j in (i + 1)..cts.len() {
-                if cts[i].transformation.signature() != cts[j].transformation.signature() {
+                if signatures[i] != signatures[j] {
                     continue;
                 }
                 if let Some(cond) = merge_conditions(&cts[i].condition, &cts[j].condition) {
@@ -862,6 +867,7 @@ fn merge_equivalent_cts(
             return cts;
         };
         let b = cts.remove(j);
+        signatures.remove(j);
         let a = &mut cts[i];
         let (na, nb) = (a.rows.len() as f64, b.rows.len() as f64);
         // Same model on both sides: the union MAE is the weighted mean.
@@ -910,12 +916,12 @@ fn cts_from_labels(
     labels: &[usize],
 ) -> Result<Vec<ConditionalTransformation>> {
     let n = ctx.y_target.len();
-    let conditions = ctx.leaf_conditions(&candidate.cond_attrs, labeling, labels)?;
+    let leaves = ctx.leaves(&candidate.cond_attrs, labeling, labels)?;
     let tolerance = ctx.config.change_tolerance;
-    let mut cts = Vec::with_capacity(conditions.len());
-    for condition in conditions.iter() {
-        // The partitions are *exactly* what the conditions say.
-        let rows = condition.matching_rows(ctx.source())?;
+    let mut cts = Vec::with_capacity(leaves.conditions.len());
+    // The partitions are *exactly* what the conditions say: a leaf's rows
+    // are the rows its condition matches.
+    for (condition, rows) in leaves.conditions.iter().zip(leaves.rows()) {
         if rows.is_empty() {
             continue;
         }
@@ -1401,6 +1407,43 @@ mod tests {
         assert_eq!(count(&ctx.run.partition_fits_computed), fits);
         // Each condition attribute (`edu`, `exp`) is prepared once.
         assert_eq!(count(&ctx.run.split_columns_prepared), 2);
+    }
+
+    /// Sibling CTs whose coefficients agree to 9 decimals carry the same
+    /// rendered signature, so they merge even though their bits differ.
+    #[test]
+    fn merge_keys_on_rendered_signature_not_bits() {
+        use crate::condition::Descriptor;
+        let ct = |descriptor, coefficient: f64, rows: Vec<usize>| {
+            let terms = vec![Term {
+                attr: "bonus".into(),
+                coefficient,
+            }];
+            ConditionalTransformation::new(
+                Condition::new(vec![descriptor]),
+                Transformation::linear("bonus", terms, 1000.0),
+                rows,
+                4,
+                0.0,
+            )
+        };
+        let (a, b): (f64, f64) = (1.05, 1.05 + 2e-12);
+        assert_ne!(a.to_bits(), b.to_bits());
+        let below = Descriptor::LessThan {
+            attr: "grade".into(),
+            threshold: 24.0,
+        };
+        let above = below.negate();
+        let merged =
+            merge_equivalent_cts(vec![ct(below, a, vec![0, 2]), ct(above, b, vec![1, 3])], 4);
+        assert_eq!(merged.len(), 1, "{merged:?}");
+        assert!(merged[0].condition.is_universal());
+        assert_eq!(merged[0].rows, vec![0, 1, 2, 3]);
+        // The merged CT keeps the first CT's transformation.
+        assert_eq!(
+            merged[0].transformation.constants()[0].to_bits(),
+            a.to_bits()
+        );
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! constants after each acceptance (so a snapped slope can be absorbed by
 //! the intercept, exactly like a human rounding a policy).
 
-use charles_numerics::normality::{roundness, snap_candidates};
-use charles_numerics::ols::{fit_constant, fit_ols, LinearFit};
+use charles_numerics::normality::{roundness, scored_snap_candidates};
+use charles_numerics::ols::{fit_constant, fit_ols_cols, LinearFit};
 
 /// Result of snapping: the (possibly) rounded fit plus bookkeeping.
 #[derive(Debug, Clone)]
@@ -63,8 +63,8 @@ fn refit_free(columns: &[Vec<f64>], y: &[f64], fixed: &[Option<f64>]) -> Option<
         let coefs: Vec<f64> = fixed.iter().map(|f| f.unwrap_or(0.0)).collect();
         return Some((coefs, fit.intercept));
     }
-    let free_cols: Vec<Vec<f64>> = free_idx.iter().map(|&j| columns[j].clone()).collect();
-    let fit = fit_ols(&free_cols, &residual).ok()?;
+    let free_cols: Vec<&[f64]> = free_idx.iter().map(|&j| columns[j].as_slice()).collect();
+    let fit = fit_ols_cols(&free_cols, &residual).ok()?;
     let mut coefs: Vec<f64> = fixed.iter().map(|f| f.unwrap_or(0.0)).collect();
     for (slot, &j) in free_idx.iter().enumerate() {
         coefs[j] = fit.coefficients[slot];
@@ -72,12 +72,15 @@ fn refit_free(columns: &[Vec<f64>], y: &[f64], fixed: &[Option<f64>]) -> Option<
     Some((coefs, fit.intercept))
 }
 
-/// Candidates for a constant, roundest first, distance as tie-break, raw
-/// value guaranteed present. Distances below 1e-9 relative are treated as
-/// zero, and ties prefer the shorter decimal rendering — this is what
-/// canonicalizes a floating-point-dusted `1.0499999999999696` to `1.05`.
-fn ordered_candidates(x: f64) -> Vec<f64> {
-    let mut cands = snap_candidates(x);
+/// Candidates for a constant with their roundness, roundest first,
+/// distance as tie-break, raw value guaranteed present. Distances below
+/// 1e-9 relative are treated as zero, and ties prefer the shorter decimal
+/// rendering — this is what canonicalizes a floating-point-dusted
+/// `1.0499999999999696` to `1.05`. Roundness and distance are computed
+/// once per candidate; a rendering only for the rare pair they tie on.
+/// The sort is stable, so equal keys keep [`scored_snap_candidates`]
+/// order.
+fn ordered_candidates(x: f64) -> Vec<(f64, f64)> {
     let quantize = |c: f64| -> f64 {
         let d = (c - x).abs();
         if d <= 1e-9 * x.abs().max(1e-300) {
@@ -86,13 +89,17 @@ fn ordered_candidates(x: f64) -> Vec<f64> {
             d
         }
     };
-    cands.sort_by(|a, b| {
-        roundness(*b)
-            .total_cmp(&roundness(*a))
-            .then(quantize(*a).total_cmp(&quantize(*b)))
-            .then(format!("{a}").len().cmp(&format!("{b}").len()))
+    let mut keyed: Vec<(f64, f64, f64)> = scored_snap_candidates(x)
+        .into_iter()
+        .map(|(c, r)| (r, quantize(c), c))
+        .collect();
+    let rendered_len = |c: f64| format!("{c}").len();
+    keyed.sort_by(|a, b| {
+        b.0.total_cmp(&a.0)
+            .then(a.1.total_cmp(&b.1))
+            .then_with(|| rendered_len(a.2).cmp(&rendered_len(b.2)))
     });
-    cands
+    keyed.into_iter().map(|(r, _, c)| (c, r)).collect()
 }
 
 /// Snap a fitted model's constants.
@@ -127,9 +134,10 @@ pub fn snap_fit(columns: &[Vec<f64>], y: &[f64], fit: &LinearFit, tolerance: f64
     });
     for &j in &order {
         let raw = current_coefs[j];
+        let raw_roundness = roundness(raw);
         let mut accepted = false;
-        for cand in ordered_candidates(raw) {
-            if roundness(cand) < roundness(raw) {
+        for (cand, cand_roundness) in ordered_candidates(raw) {
+            if cand_roundness < raw_roundness {
                 continue; // never snap to something less round
             }
             let mut trial_fixed = fixed.clone();
@@ -156,8 +164,9 @@ pub fn snap_fit(columns: &[Vec<f64>], y: &[f64], fit: &LinearFit, tolerance: f64
     // Snap the intercept last: all slopes are fixed now, so the candidate
     // intercept is evaluated directly.
     let raw_intercept = current_intercept;
-    for cand in ordered_candidates(raw_intercept) {
-        if roundness(cand) < roundness(raw_intercept) {
+    let raw_roundness = roundness(raw_intercept);
+    for (cand, cand_roundness) in ordered_candidates(raw_intercept) {
+        if cand_roundness < raw_roundness {
             continue;
         }
         let err = mae_of(columns, y, &current_coefs, cand);
@@ -182,6 +191,71 @@ pub fn snap_fit(columns: &[Vec<f64>], y: &[f64], fit: &LinearFit, tolerance: f64
 #[cfg(test)]
 mod tests {
     use super::*;
+    use charles_numerics::normality::snap_candidates;
+    use charles_numerics::ols::fit_ols;
+    use proptest::prelude::*;
+
+    /// `ordered_candidates` as it was before its sort keys were hoisted:
+    /// roundness, quantized distance and a `format!` rendering evaluated
+    /// inside the comparator.
+    fn comparator_ordered_candidates(x: f64) -> Vec<f64> {
+        let mut cands = snap_candidates(x);
+        let quantize = |c: f64| -> f64 {
+            let d = (c - x).abs();
+            if d <= 1e-9 * x.abs().max(1e-300) {
+                0.0
+            } else {
+                d
+            }
+        };
+        cands.sort_by(|a, b| {
+            roundness(*b)
+                .total_cmp(&roundness(*a))
+                .then(quantize(*a).total_cmp(&quantize(*b)))
+                .then(format!("{a}").len().cmp(&format!("{b}").len()))
+        });
+        cands
+    }
+
+    /// Constants to snap: floating-point-dusted round values, negatives,
+    /// zeros, subnormals, infinities, NaN, and plain ranges.
+    fn snap_input() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            Just(1.0499999999999696),
+            Just(0.0),
+            Just(-0.0),
+            Just(5e-324),
+            Just(-2.5e-310),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+            -1e9f64..1e9,
+            -2.0f64..2.0,
+            (-1e4f64..1e4).prop_map(|x| {
+                charles_numerics::normality::round_to_significant(x, 3) * (1.0 + 3e-15)
+            }),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// Hoisted keys order the candidates exactly as the comparator
+        /// chain did, and carry each candidate's own roundness.
+        #[test]
+        fn ordered_candidates_match_comparator_sort(x in snap_input()) {
+            let ordered = ordered_candidates(x);
+            let bits: Vec<u64> = ordered.iter().map(|(c, _)| c.to_bits()).collect();
+            let expected: Vec<u64> = comparator_ordered_candidates(x)
+                .iter()
+                .map(|c| c.to_bits())
+                .collect();
+            prop_assert_eq!(bits, expected);
+            for (c, r) in ordered {
+                prop_assert_eq!(r.to_bits(), roundness(c).to_bits());
+            }
+        }
+    }
 
     /// Helper: OLS then snap.
     fn fit_and_snap(columns: &[Vec<f64>], y: &[f64], tol: f64) -> SnappedFit {

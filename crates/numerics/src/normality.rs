@@ -12,8 +12,15 @@ pub fn significant_digits(x: f64, max_digits: u32) -> u32 {
     if x == 0.0 || !x.is_finite() {
         return 1;
     }
+    significant_digits_at(x, max_digits, magnitude_of(x))
+}
+
+/// [`significant_digits`] of a finite, non-zero `x` whose decimal
+/// magnitude is `magnitude`: each rounding computed once.
+fn significant_digits_at(x: f64, max_digits: u32, magnitude: f64) -> u32 {
     for d in 1..=max_digits {
-        if round_to_significant(x, d) == x || ((round_to_significant(x, d) - x) / x).abs() < 1e-9 {
+        let rounded = round_at(x, d, magnitude);
+        if rounded == x || ((rounded - x) / x).abs() < 1e-9 {
             return d;
         }
     }
@@ -25,7 +32,17 @@ pub fn round_to_significant(x: f64, digits: u32) -> f64 {
     if x == 0.0 || !x.is_finite() {
         return x;
     }
-    let magnitude = x.abs().log10().floor();
+    round_at(x, digits, magnitude_of(x))
+}
+
+/// The decimal magnitude of a finite, non-zero `x`: `⌊log10 |x|⌋`.
+fn magnitude_of(x: f64) -> f64 {
+    x.abs().log10().floor()
+}
+
+/// Round `x`, of decimal magnitude `magnitude`, to `digits` significant
+/// decimal digits.
+fn round_at(x: f64, digits: u32, magnitude: f64) -> f64 {
     let factor = 10f64.powf(digits as f64 - 1.0 - magnitude);
     (x * factor).round() / factor
 }
@@ -49,22 +66,22 @@ pub fn roundness(x: f64) -> f64 {
         return 1.0;
     }
     const SCORES: [f64; 7] = [1.0, 0.85, 0.65, 0.4, 0.2, 0.1, 0.0];
-    let d = significant_digits(x, 7) as usize;
+    let magnitude = magnitude_of(x);
+    let d = significant_digits_at(x, 7, magnitude) as usize;
     let base = SCORES[(d - 1).min(6)];
     // A trailing significant digit of 5 reads "half a digit rounder":
     // 25 beats 26, 1.05 beats 1.04 (quarter-steps and nickel-steps are
     // what human policies use).
-    if (2..=7).contains(&d) && trailing_significant_digit(x, d as u32) == 5 {
+    if (2..=7).contains(&d) && trailing_significant_digit(x, d as u32, magnitude) == 5 {
         let prev = SCORES[d - 2];
         return (prev + base) / 2.0;
     }
     base
 }
 
-/// The last significant decimal digit of `x` when written with `digits`
-/// significant digits.
-fn trailing_significant_digit(x: f64, digits: u32) -> u8 {
-    let magnitude = x.abs().log10().floor();
+/// The last significant decimal digit of `x`, of decimal magnitude
+/// `magnitude`, when written with `digits` significant digits.
+fn trailing_significant_digit(x: f64, digits: u32, magnitude: f64) -> u8 {
     let scaled = (x.abs() * 10f64.powf(digits as f64 - 1.0 - magnitude)).round();
     (scaled % 10.0) as u8
 }
@@ -88,18 +105,23 @@ pub fn mean_roundness(xs: &[f64]) -> f64 {
 /// 0.005 for percent-like values, multiples of 50/100/500/1000 for
 /// dollar-like values).
 pub fn snap_candidates(x: f64) -> Vec<f64> {
+    scored_snap_candidates(x)
+        .into_iter()
+        .map(|(c, _)| c)
+        .collect()
+}
+
+/// [`snap_candidates`], each paired with its [`roundness`], for callers
+/// that rank candidates by it.
+pub fn scored_snap_candidates(x: f64) -> Vec<(f64, f64)> {
     if !x.is_finite() {
-        return vec![x];
+        return vec![(x, roundness(x))];
     }
     let mut cands: Vec<f64> = Vec::new();
     for d in 1..=3 {
         cands.push(round_to_significant(x, d));
     }
-    let magnitude = if x == 0.0 {
-        0.0
-    } else {
-        x.abs().log10().floor()
-    };
+    let magnitude = if x == 0.0 { 0.0 } else { magnitude_of(x) };
     // Human-scale grid steps by magnitude: 1.05 snaps on 0.005/0.01/0.025;
     // 997.3 snaps on 5/10/25/50/...
     let grids: &[f64] = if magnitude < 1.0 {
@@ -113,17 +135,22 @@ pub fn snap_candidates(x: f64) -> Vec<f64> {
         cands.push((x / g).round() * g);
     }
     cands.push(x);
-    // Deduplicate (bitwise; fine for candidate pruning) keeping stable
-    // distance order after the sort below.
-    cands.sort_by(|a, b| {
-        (a - x)
-            .abs()
-            .total_cmp(&(b - x).abs())
-            .then(roundness(*b).total_cmp(&roundness(*a)))
-    });
-    let mut seen = std::collections::HashSet::new();
-    cands.retain(|c| seen.insert(c.to_bits()));
-    cands
+    // Order by distance, rounder first on ties, with each key computed
+    // once per candidate; the sort is stable, so equal keys keep their
+    // push order. Then deduplicate (bitwise; fine for candidate pruning)
+    // keeping that order: a dozen candidates need no hash set.
+    let mut keyed: Vec<(f64, f64, f64)> = cands
+        .into_iter()
+        .map(|c| ((c - x).abs(), roundness(c), c))
+        .collect();
+    keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(b.1.total_cmp(&a.1)));
+    let mut out: Vec<(f64, f64)> = Vec::with_capacity(keyed.len());
+    for (_, r, c) in keyed {
+        if !out.iter().any(|(o, _)| o.to_bits() == c.to_bits()) {
+            out.push((c, r));
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -49,6 +49,12 @@ pub fn max(xs: &[f64]) -> Result<f64> {
 
 /// `q`-quantile (0 ≤ q ≤ 1) with linear interpolation between order
 /// statistics, matching the common "type 7" definition.
+///
+/// The order statistics are found by selection in O(n), not by a full
+/// sort: `lo` by `select_nth_unstable_by`, and `hi = lo + 1` as the
+/// minimum of the part above it. Values that compare equal under
+/// `total_cmp` have equal bits, so the result is bit-identical to reading
+/// a `total_cmp`-sorted copy.
 pub fn quantile(xs: &[f64], q: f64) -> Result<f64> {
     if xs.is_empty() {
         return Err(NumericsError::InsufficientData { needed: 1, got: 0 });
@@ -58,16 +64,22 @@ pub fn quantile(xs: &[f64], q: f64) -> Result<f64> {
             "quantile q={q} outside [0, 1]"
         )));
     }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.total_cmp(b));
-    let pos = q * (sorted.len() - 1) as f64;
+    let mut scratch = xs.to_vec();
+    let pos = q * (scratch.len() - 1) as f64;
     let lo = pos.floor() as usize;
     let hi = pos.ceil() as usize;
+    let (_, &mut below, above) = scratch.select_nth_unstable_by(lo, f64::total_cmp);
     if lo == hi {
-        return Ok(sorted[lo]);
+        return Ok(below);
     }
+    // `hi == lo + 1 < n`, so `above` is non-empty.
+    let next = above
+        .iter()
+        .copied()
+        .min_by(f64::total_cmp)
+        .unwrap_or(below);
     let frac = pos - lo as f64;
-    Ok(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    Ok(below * (1.0 - frac) + next * frac)
 }
 
 /// Median (0.5-quantile).

@@ -30,11 +30,6 @@
 //! [`SHORTLIST_REPS`] runs lands in `default_shortlist_seconds`, its
 //! candidate count in `default_shortlist_candidates`.
 //!
-//! A fourth section measures the **compressed** mode: the same query on
-//! a session whose columns are sealed into per-block encodings. The binary
-//! asserts its rankings, score bits, and α-sweeps are byte-identical to
-//! the raw session's at 1, 2, and 3 search threads.
-//!
 //! Run: `cargo run --release -p charles-bench --bin bench_search [rows] [threads]`
 //!
 //! The parallel end-to-end section detects available parallelism
@@ -303,122 +298,11 @@ fn main() {
          {shortlist_secs:.3} s (median of {SHORTLIST_REPS}, threads=1)"
     );
 
-    // The raw-plane reference the sealed sessions below must match.
-    let raw_session = Session::open(pair.clone()).expect("raw session");
-    let raw_result = raw_session.run(&query).expect("raw run");
-    let raw_scores: Vec<u64> = raw_result
-        .summaries
-        .iter()
-        .map(|s| s.scores.score.to_bits())
-        .collect();
-
-    // Compressed (sealed) mode: the same pair with every column sealed
-    // into per-block encodings (RLE/dictionary packing, delta/bitpack,
-    // LZ'd dictionary payloads — see `charles_relation::compress`).
-    // Resident bytes are measured on the freshly sealed pair, before any
-    // decode cache fills; the ratio floor is a CI gate on the county
-    // workload. Sealing is a layout choice, so rankings, score bits, and
-    // α-sweeps must be byte-identical to the raw path at every search
-    // thread count — asserted for threads ∈ {1, 2, 3}.
-    let sealed_pair = pair.sealed();
-    let raw_plane_bytes = pair.source().approx_bytes() + pair.target().approx_bytes();
-    let sealed_plane_bytes =
-        sealed_pair.source().approx_bytes() + sealed_pair.target().approx_bytes();
-    let compression_ratio = raw_plane_bytes as f64 / sealed_plane_bytes.max(1) as f64;
-    let compressed_bytes_per_row = sealed_plane_bytes as f64 / (2 * rows.max(1)) as f64;
-
-    // Zone-map pruning: probe the sealed source with predicates whose
-    // literals sit inside, below, and above the data range, then read the
-    // block skip/scan counters off the compressed columns.
-    use charles_relation::{CmpOp, Predicate, Value};
-    let probes = [
-        Predicate::cmp("base_salary", CmpOp::Ge, Value::Float(0.0)),
-        Predicate::cmp("base_salary", CmpOp::Gt, Value::Float(1e12)),
-        Predicate::between("grade", Value::Int(12), Value::Int(18)),
-        Predicate::cmp("overtime_pay", CmpOp::Le, Value::Float(2_500.0)),
-    ];
-    for probe in &probes {
-        probe.eval_mask(sealed_pair.source()).expect("sealed probe");
-    }
-    let (mut blocks_skipped, mut blocks_scanned) = (0u64, 0u64);
-    for col in sealed_pair.source().columns() {
-        if let Some(data) = col.compressed_data() {
-            let (skipped, scanned) = data.zone_stats();
-            blocks_skipped += skipped;
-            blocks_scanned += scanned;
-        }
-    }
-    let zone_map_block_skip_frac =
-        blocks_skipped as f64 / (blocks_skipped + blocks_scanned).max(1) as f64;
-
-    let sweep_alphas = [0.25, 0.75];
-    let base_sweep_bits: Vec<Vec<u64>> = raw_session
-        .sweep_alpha(&raw_result, &sweep_alphas)
-        .expect("raw sweep")
-        .iter()
-        .map(|r| {
-            r.summaries
-                .iter()
-                .map(|s| s.scores.score.to_bits())
-                .collect()
-        })
-        .collect();
-    let mut sealed_secs = 0.0f64;
-    for sealed_threads in [1usize, 2, 3] {
-        let sealed_config = CharlesConfig::default()
-            .with_sealed_columns(true)
-            .with_threads(sealed_threads);
-        let started = Instant::now();
-        let session =
-            Session::open_with_config(pair.clone(), sealed_config).expect("sealed session");
-        let result = session.run(&query).expect("sealed run");
-        if sealed_threads == 1 {
-            sealed_secs = started.elapsed().as_secs_f64();
-        }
-        assert_eq!(
-            render(&result.summaries),
-            render(&raw_result.summaries),
-            "sealed rankings must be byte-identical to raw (threads={sealed_threads})"
-        );
-        let sealed_scores: Vec<u64> = result
-            .summaries
-            .iter()
-            .map(|s| s.scores.score.to_bits())
-            .collect();
-        assert_eq!(
-            sealed_scores, raw_scores,
-            "sealed score bits must be identical to raw (threads={sealed_threads})"
-        );
-        let sweep_bits: Vec<Vec<u64>> = session
-            .sweep_alpha(&result, &sweep_alphas)
-            .expect("sealed sweep")
-            .iter()
-            .map(|r| {
-                r.summaries
-                    .iter()
-                    .map(|s| s.scores.score.to_bits())
-                    .collect()
-            })
-            .collect();
-        assert_eq!(
-            sweep_bits, base_sweep_bits,
-            "sealed α-sweep bits must be identical to raw (threads={sealed_threads})"
-        );
-    }
-    eprintln!(
-        "compressed plane: {compressed_bytes_per_row:.1} B/row sealed vs \
-         {:.1} B/row raw ({compression_ratio:.2}x), zone maps skipped \
-         {blocks_skipped}/{} probed blocks; sealed rankings byte-identical \
-         at threads 1/2/3",
-        raw_plane_bytes as f64 / (2 * rows.max(1)) as f64,
-        blocks_skipped + blocks_scanned,
-    );
-
     let n_cands = candidates.len() as f64;
     let shared_tput = n_cands / shared_secs;
     let naive_tput = n_cands / naive_secs;
     let json = format!(
-        "{{\n  \"workload\": \"e5_county_scalability\",\n  \"rows\": {rows},\n  \"candidates\": {},\n  \"summaries_produced\": {produced},\n  \"naive_seconds\": {naive_secs:.4},\n  \"shared_seconds\": {shared_secs:.4},\n  \"naive_candidates_per_sec\": {naive_tput:.2},\n  \"shared_candidates_per_sec\": {shared_tput:.2},\n  \"speedup\": {speedup:.2},\n  \"naive_seconds_samples\": {},\n  \"shared_seconds_samples\": {},\n  \"speedup_samples\": {},\n  \"gram_rows_per_sec\": {gram_rows_per_sec:.0},\n  \"moments_rows_per_sec\": {moments_rows_per_sec:.0},\n  \"kernel_vs_scalar_speedup\": {kernel_vs_scalar_speedup:.2},\n  \"moments_vs_scalar_speedup\": {moments_vs_scalar_speedup:.2},\n  \"parallel_search_seconds\": {parallel_secs:.4},\n  \"parallel_threads\": {},\n  \"ranked_summaries\": {},\n  \"distinct_summaries\": {},\n  \"session_cold_seconds\": {session_cold_secs:.4},\n  \"session_warm_seconds\": {session_warm_secs:.6},\n  \"session_warm_speedup\": {session_warm_speedup:.2},\n  \"default_shortlist_seconds\": {shortlist_secs:.4},\n  \"default_shortlist_candidates\": {shortlist_candidates},\n  \"compressed_bytes_per_row\": {compressed_bytes_per_row:.2},\n  \"compression_ratio\": {compression_ratio:.2},\n  \"zone_map_block_skip_frac\": {zone_map_block_skip_frac:.3},\n  \"sealed_run_seconds\": {sealed_secs:.4},\n  \"sealed_rankings_identical\": true\n}}\n",
+        "{{\n  \"workload\": \"e5_county_scalability\",\n  \"rows\": {rows},\n  \"candidates\": {},\n  \"summaries_produced\": {produced},\n  \"naive_seconds\": {naive_secs:.4},\n  \"shared_seconds\": {shared_secs:.4},\n  \"naive_candidates_per_sec\": {naive_tput:.2},\n  \"shared_candidates_per_sec\": {shared_tput:.2},\n  \"speedup\": {speedup:.2},\n  \"naive_seconds_samples\": {},\n  \"shared_seconds_samples\": {},\n  \"speedup_samples\": {},\n  \"gram_rows_per_sec\": {gram_rows_per_sec:.0},\n  \"moments_rows_per_sec\": {moments_rows_per_sec:.0},\n  \"kernel_vs_scalar_speedup\": {kernel_vs_scalar_speedup:.2},\n  \"moments_vs_scalar_speedup\": {moments_vs_scalar_speedup:.2},\n  \"parallel_search_seconds\": {parallel_secs:.4},\n  \"parallel_threads\": {},\n  \"ranked_summaries\": {},\n  \"distinct_summaries\": {},\n  \"session_cold_seconds\": {session_cold_secs:.4},\n  \"session_warm_seconds\": {session_warm_secs:.6},\n  \"session_warm_speedup\": {session_warm_speedup:.2},\n  \"default_shortlist_seconds\": {shortlist_secs:.4},\n  \"default_shortlist_candidates\": {shortlist_candidates}\n}}\n",
         candidates.len(),
         json_array(&naive_samples, 4),
         json_array(&shared_samples, 4),
@@ -440,15 +324,6 @@ fn main() {
     assert!(
         session_warm_speedup >= 5.0,
         "warm session rerun must be ≥ 5x a cold run, got {session_warm_speedup:.2}x"
-    );
-    assert!(
-        compression_ratio >= 3.0,
-        "sealed county plane must be ≤ 1/3 of the raw plane's bytes, got \
-         {compression_ratio:.2}x ({compressed_bytes_per_row:.1} B/row)"
-    );
-    assert!(
-        zone_map_block_skip_frac > 0.0,
-        "zone maps must skip at least one probed block"
     );
     assert!(
         kernel_vs_scalar_speedup >= 1.5,

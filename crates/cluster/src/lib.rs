@@ -11,10 +11,10 @@
 //!   primary residual-clustering routine (deterministic and optimal at
 //!   every input size in `O(k · n log n)`, which Lloyd's algorithm on
 //!   residuals is not),
-//! - general k-dimensional k-means with k-means++ seeding ([`kmeans`]),
-//! - silhouette scoring and automatic `k` selection ([`silhouette`],
+//! - general k-dimensional k-means with k-means++ seeding ([`kmeans()`]),
+//! - silhouette scoring and automatic `k` selection ([`silhouette()`],
 //!   [`best_k`]), and
-//! - DBSCAN ([`dbscan`]) as the partitioning ablation.
+//! - DBSCAN ([`dbscan()`]) as the partitioning ablation.
 //!
 //! ```
 //! use charles_cluster::kmeans_1d;

@@ -80,10 +80,6 @@ fn category_codes(col: &Column) -> Vec<u32> {
                 }
             })
             .collect(),
-        // Sealed columns decode to the same codes/values: recurse on the
-        // raw representation instead of falling through to the wildcard,
-        // which would collapse a compressed string column to one category.
-        Column::Compressed { .. } => category_codes(&col.decompress()),
         _ => (0..col.len())
             .map(|i| if col.is_valid(i) { 1 } else { 0 })
             .collect(),
@@ -262,7 +258,7 @@ fn forward_condition_selection(
 ///
 /// Condition candidates are scored by the strongest of three association
 /// measures with the observed change: correlation with the absolute delta,
-/// correlation with the relative delta, and [`split_relevance`] against a
+/// correlation with the relative delta, and split relevance against a
 /// clustering of the relative delta (the latter captures attributes whose
 /// split — not whose value — separates change behaviours). Transformation
 /// candidates are scored against the *new* values, because that is what

@@ -73,7 +73,7 @@ fn trim_outliers(values: &[f64]) -> (Vec<usize>, Vec<usize>) {
 
 /// Cluster residuals into `k` groups using the configured method.
 /// Returns one label per row (labels are dense, 0-based). Out-of-policy
-/// outliers (beyond [`OUTLIER_MADS`]) are assigned a dedicated trailing
+/// outliers (beyond `OUTLIER_MADS`) are assigned a dedicated trailing
 /// label rather than participating in clustering.
 pub fn cluster_residuals(
     residuals: &[f64],

@@ -1123,6 +1123,29 @@ pub fn evaluate_candidate_naive(
     evaluate_candidate(&ctx, &candidate)
 }
 
+/// The one ranking order of summaries explaining `target`, shared by
+/// [`run_search`] and every re-ranking path (`Session::rescore`,
+/// `Charles::rescore`, the α-sweep). Higher score first; ties go to fewer
+/// CTs, then to autoregressive transformations (explaining the new value
+/// in terms of the target's *own* previous value reads most naturally:
+/// "5% increase on last year's bonus"), then to a stable structural key.
+pub(crate) fn rank_order(target: &str, a: &ChangeSummary, b: &ChangeSummary) -> std::cmp::Ordering {
+    let self_referential = |s: &ChangeSummary| -> bool {
+        s.cts.iter().any(|ct| {
+            ct.transformation
+                .attributes()
+                .iter()
+                .any(|attr| attr == target)
+        })
+    };
+    b.scores
+        .score
+        .total_cmp(&a.scores.score)
+        .then(a.cts.len().cmp(&b.cts.len()))
+        .then_with(|| self_referential(b).cmp(&self_referential(a)))
+        .then_with(|| a.signature().cmp(&b.signature()))
+}
+
 /// Evaluate all candidates (in parallel when configured), deduplicate, and
 /// rank by descending score.
 ///
@@ -1195,26 +1218,7 @@ pub fn run_search(
     // lint:allow(ordered-iteration: which copy survives each signature is fixed by the candidate-index order above; the hash order of the survivors is erased by the total-order sort below)
     let mut ranked: Vec<ChangeSummary> = best.into_values().collect();
     let distinct = ranked.len();
-    // Tie-breaks below the score: fewer CTs; then autoregressive
-    // transformations (explaining the new value in terms of the target's
-    // *own* previous value reads most naturally: "5% increase on last
-    // year's bonus"); then a stable structural key.
-    let self_referential = |s: &ChangeSummary| -> bool {
-        s.cts.iter().any(|ct| {
-            ct.transformation
-                .attributes()
-                .iter()
-                .any(|a| a == ctx.target_attr)
-        })
-    };
-    ranked.sort_by(|a, b| {
-        b.scores
-            .score
-            .total_cmp(&a.scores.score)
-            .then(a.cts.len().cmp(&b.cts.len()))
-            .then(self_referential(b).cmp(&self_referential(a)))
-            .then_with(|| a.signature().cmp(&b.signature()))
-    });
+    ranked.sort_by(|a, b| rank_order(ctx.target_attr, a, b));
     ranked.truncate(ctx.config.max_summaries);
 
     Ok((

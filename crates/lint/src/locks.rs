@@ -9,7 +9,7 @@
 //! statement shows. This pass builds the workspace lock graph:
 //!
 //! - every direct acquisition (`recv.lock()` / `.read()` / `.write()`,
-//!   argless) with its syntactic identity ([`LockSite::lock`]);
+//!   argless) with its syntactic identity ([`crate::graph::LockSite::lock`]);
 //! - per-function **transitive lock summaries** (which locks can a call
 //!   into this function acquire, with a witness chain to the deep
 //!   site), computed as a fixpoint over the call graph;

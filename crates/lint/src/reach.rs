@@ -4,7 +4,7 @@
 //! for `unwrap`/`expect`/`panic!` — and stopped at the crate boundary,
 //! while every route handler immediately calls into `charles_core`,
 //! where a malformed dataset can still reach an unwrap and turn into a
-//! 500 with no [`ErrorEnvelope`]. This pass seeds the call graph at the
+//! 500 with no `ErrorEnvelope`. This pass seeds the call graph at the
 //! server's request-handling functions (every non-test `fn` in
 //! `crates/server/src` — `serve_connection`, `route`, `route_inner`,
 //! `dispatch`, the client) and walks the workspace call

@@ -1,6 +1,5 @@
-// A compress-style block decode path: the shapes the compressed column
-// plane (crates/relation/src/compress.rs) is built from, seeded with the
-// two mistakes its rules exist to catch.
+// A block decode path over packed words, seeded with the two mistakes
+// the block-grid and fold-order rules exist to catch.
 
 /// Decodes one block the WRONG ways: bare grid literal, ad-hoc float fold.
 pub fn decode_block_bad(packed: &[u64], out: &mut Vec<f64>) -> f64 {

@@ -89,10 +89,9 @@ fn block_grid_literals_catches_fixture() {
 
 #[test]
 fn compress_decode_paths_stay_in_lint_scope() {
-    // The compressed column plane added block-decode hot paths to the
-    // relation crate; this pins that code shaped like them stays covered:
-    // bare grid literals and ad-hoc float folds in decode loops must keep
-    // firing, while the GRAM_BLOCK_ROWS-referencing twin stays clean.
+    // Block-decode loops in the relation crate stay covered: bare grid
+    // literals and ad-hoc float folds in decode loops must keep firing,
+    // while the GRAM_BLOCK_ROWS-referencing twin stays clean.
     let src = include_str!("fixtures/compress_decode.rs");
     let findings = lint_source("crates/relation/src/fixture.rs", src);
     assert_eq!(

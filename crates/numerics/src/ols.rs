@@ -31,7 +31,7 @@
 //! Since PR 6 the per-block accumulation is a cache-blocked, lane-wide
 //! kernel ([`crate::kernels`]): each canonical block's column windows are
 //! pre-scaled once into a column-major stage, and every `XᵀX`/`Xᵀy` entry
-//! is a [`crate::kernels::dot`] over two staged columns — [`LANES`]
+//! is a [`crate::kernels::dot`] over two staged columns — [`crate::kernels::LANES`]
 //! independent partial sums folded in a fixed order at block end, which
 //! the autovectorizer turns into packed FMAs instead of the old scalar
 //! triangle walk. The kernel's fold order differs from the pre-PR-6
@@ -50,11 +50,6 @@ use crate::solve::solve_cholesky;
 /// Rows per canonical accumulation block of the Gram statistics. Row-range
 /// boundaries must be multiples of this for bit-exact merges. A multiple
 /// of [`kernels::LANES`], so full blocks have no sub-lane tail.
-///
-/// The relation plane's compressed column blocks
-/// (`charles_relation::GRAM_BLOCK_ROWS`) sit on the *same* 128-row grid:
-/// sealed columns decode per block and zone maps prune per block. The two
-/// constants are pinned equal by a compile-time assert in `charles-core`.
 pub const GRAM_BLOCK_ROWS: usize = 128;
 
 const _: () = assert!(GRAM_BLOCK_ROWS.is_multiple_of(kernels::LANES));

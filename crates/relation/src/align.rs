@@ -100,20 +100,6 @@ impl SnapshotPair {
         })
     }
 
-    /// A sealed copy of this pair: both snapshots compressed into
-    /// per-block encodings (see [`Table::sealed`]) with the precomputed
-    /// alignment carried over verbatim — no re-validation, since sealing
-    /// preserves every cell bit-for-bit.
-    pub fn sealed(&self) -> SnapshotPair {
-        SnapshotPair {
-            source: self.source.sealed(),
-            target: self.target.sealed(),
-            target_row_of: self.target_row_of.clone(),
-            key_attr: self.key_attr.clone(),
-            identity_aligned: self.identity_aligned,
-        }
-    }
-
     /// The source snapshot.
     pub fn source(&self) -> &Table {
         &self.source

@@ -9,7 +9,7 @@ use crate::column::Column;
 use crate::error::Result;
 use crate::schema::AttrRef;
 use crate::table::Table;
-use crate::value::{DataType, Value};
+use crate::value::Value;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 use std::fmt;
@@ -303,19 +303,6 @@ impl Predicate {
                             v.total_cmp(&lo) != Ordering::Less && v.total_cmp(&hi) == Ordering::Less
                         }))
                     }
-                    // Compressed numeric plane: zone maps answer whole
-                    // blocks; decoded blocks apply the identical total-order
-                    // test, so the cleared mask matches the raw path
-                    // bit-for-bit.
-                    (Column::Compressed { data, .. }, Some(lo), Some(hi)) if data.is_numeric() => {
-                        match data.between_mask(lo, hi) {
-                            Some(mut mask) => {
-                                Self::clear_nulls(col, &mut mask);
-                                Ok(mask)
-                            }
-                            None => self.eval_mask_rowwise(table),
-                        }
-                    }
                     _ => self.eval_mask_rowwise(table),
                 }
             }
@@ -340,26 +327,6 @@ impl Predicate {
                             .collect();
                         Self::clear_nulls(col, &mut mask);
                         return Ok(mask);
-                    }
-                }
-                // Compressed string column: same membership-bitmap probe
-                // over the decoded codes and the sealed pool.
-                if let Column::Compressed { data, .. } = col {
-                    if values.iter().all(|v| matches!(v, Value::Str(_))) {
-                        if let (Some(Ok(dict)), Some(codes)) = (data.dict(), data.decode_codes()) {
-                            let mut member = vec![false; dict.len()];
-                            for v in values {
-                                if let Some(code) = v.as_str().and_then(|s| dict.code_of(s)) {
-                                    member[code as usize] = true;
-                                }
-                            }
-                            let mut mask: Vec<bool> = codes
-                                .iter()
-                                .map(|&c| member.get(c as usize).copied().unwrap_or(false))
-                                .collect();
-                            Self::clear_nulls(col, &mut mask);
-                            return Ok(mask);
-                        }
                     }
                 }
                 self.eval_mask_rowwise(table)
@@ -441,39 +408,6 @@ impl Predicate {
                     CmpOp::Ne => Self::numeric_mask(col, |v| v != lit),
                     _ => Self::numeric_mask(col, |v| op.test(v.total_cmp(&lit))),
                 })
-            }
-            // Compressed string equality: resolve the literal against the
-            // sealed pool once, then classify whole blocks by code zones.
-            (Column::Compressed { data, .. }, Value::Str(s))
-                if matches!(op, CmpOp::Eq | CmpOp::Ne) =>
-            {
-                let target = match data.dict() {
-                    Some(Ok(dict)) => dict.code_of(s),
-                    _ => return None,
-                };
-                let mut mask = data.code_eq_mask(op, target)?;
-                Self::clear_nulls(col, &mut mask);
-                Some(mask)
-            }
-            // Compressed exact integer equality keeps i64 precision
-            // (sem_eq semantics), pruned by exact i64 zone bounds.
-            (Column::Compressed { data, .. }, Value::Int(lit))
-                if matches!(op, CmpOp::Eq | CmpOp::Ne) && data.dtype() == DataType::Int64 =>
-            {
-                let mut mask = data.int_eq_mask(op, *lit)?;
-                Self::clear_nulls(col, &mut mask);
-                Some(mask)
-            }
-            // Compressed numeric comparisons: zone maps answer whole
-            // blocks, decoded blocks apply the identical IEEE/total-order
-            // tests — the cleared mask equals the raw loop bit-for-bit.
-            (Column::Compressed { data, .. }, Value::Int(_) | Value::Float(_))
-                if data.is_numeric() =>
-            {
-                let lit = value.as_f64()?;
-                let mut mask = data.numeric_cmp_mask(op, lit)?;
-                Self::clear_nulls(col, &mut mask);
-                Some(mask)
             }
             _ => None,
         }

@@ -360,7 +360,6 @@ impl WireDatasetStats {
             ("evictions", Json::num_usize(d.evictions)),
             ("approx_bytes", Json::num_usize(d.approx_bytes)),
             ("last_used_tick", Json::num_usize(d.last_used_tick as usize)),
-            ("sealed", Json::Bool(d.sealed)),
             (
                 "session",
                 opt_to_json(&self.session, |s| {
@@ -413,8 +412,6 @@ impl WireDatasetStats {
                 evictions: need_usize(value, "evictions")?,
                 approx_bytes: need_usize(value, "approx_bytes")?,
                 last_used_tick: need_usize(value, "last_used_tick")? as u64,
-                // Absent on pre-compression peers: default to unsealed.
-                sealed: value.get("sealed").and_then(Json::as_bool).unwrap_or(false),
             },
             session,
         })
@@ -756,7 +753,6 @@ mod tests {
                 evictions: 2,
                 approx_bytes: 123_456,
                 last_used_tick: 42,
-                sealed: true,
             },
             session: Some(SessionStats {
                 columns_extracted: 5,
@@ -768,17 +764,8 @@ mod tests {
             }),
         };
         let encoded = stats.to_json().encode();
-        assert!(encoded.contains("\"sealed\":true"), "{encoded}");
         let decoded = WireDatasetStats::from_json(&Json::parse(&encoded).unwrap()).unwrap();
         assert_eq!(decoded, stats);
-        // Documents from pre-compression peers (no "sealed" key) decode
-        // as unsealed.
-        let legacy = Json::parse(
-            r#"{"name":"x","resident":false,"opens":0,"hits":0,"evictions":0,"approx_bytes":0,"last_used_tick":0,"session":null}"#,
-        )
-        .unwrap();
-        let legacy = WireDatasetStats::from_json(&legacy).unwrap().dataset;
-        assert!(!legacy.sealed);
     }
 
     #[test]

@@ -2,7 +2,10 @@
 //! encode→decode is *identity* for every protocol type — including floats
 //! (α, scores), unicode attribute names, and strings that need escaping.
 
-use charles_server::{ErrorEnvelope, Json, RankedSummary, Request, WireQuery, WireQueryResult};
+use charles_core::DatasetStats;
+use charles_server::{
+    ErrorEnvelope, Json, RankedSummary, Request, WireDatasetStats, WireQuery, WireQueryResult,
+};
 use proptest::prelude::*;
 
 /// Attribute-name-ish strings: unicode letters, quotes, newlines/tabs —
@@ -147,6 +150,32 @@ fn request_strategy() -> BoxedStrategy<Request> {
             ),
     ]
     .boxed()
+}
+
+#[test]
+fn legacy_stats_with_sealed_key_decode() {
+    // Servers that still had a compressed column layout wrote a
+    // `"sealed"` flag per dataset. Current decoders ignore the key, so
+    // their stats documents keep decoding to the same entry.
+    let legacy = Json::parse(
+        r#"{"name":"x","resident":true,"opens":1,"hits":2,"evictions":0,"approx_bytes":64,"last_used_tick":3,"sealed":true,"session":null}"#,
+    )
+    .expect("valid JSON");
+    let decoded = WireDatasetStats::from_json(&legacy).expect("decodes");
+    let expected = WireDatasetStats {
+        dataset: DatasetStats {
+            name: "x".into(),
+            resident: true,
+            opens: 1,
+            hits: 2,
+            evictions: 0,
+            approx_bytes: 64,
+            last_used_tick: 3,
+        },
+        session: None,
+    };
+    assert_eq!(decoded, expected);
+    assert!(!decoded.to_json().encode().contains("sealed"));
 }
 
 proptest! {

@@ -1,5 +1,5 @@
 //! Forbes-billionaires-style scenario (the paper's "additional datasets"
-//! reference [2]).
+//! reference \[2\]).
 //!
 //! The real Forbes list is not redistributable; this generator produces an
 //! analogous wealth table (rank, name, net worth, age, country, industry)

@@ -1,6 +1,6 @@
 //! Montgomery-County-style payroll scenario (paper Section 3).
 //!
-//! The demonstration dataset [5] is the public salary file of Montgomery
+//! The demonstration dataset \[5\] is the public salary file of Montgomery
 //! County, MD: *"all active, permanent employees ... over 8 attributes,
 //! including Department, Department Name, Division, Gender, Base Salary,
 //! Overtime Pay, Longevity Pay, and Grade"*. The real file is not

@@ -189,3 +189,78 @@ fn shortlist_overrides_flow_through_queries() {
     assert_eq!(top.transform_attrs, vec!["bonus".to_string()]);
     assert!(top.scores.accuracy > 0.999, "{}", top.scores.accuracy);
 }
+
+/// A 40-row pair whose `a_copy` column equals `bonus`, evolved by
+/// `bonus = 1.05 × bonus` for every row: `1.05 × bonus` and
+/// `1.05 × a_copy` explain the change equally well and tie on score.
+fn aliased_pair() -> SnapshotPair {
+    let n = 40;
+    let names: Vec<String> = (0..n).map(|i| format!("e{i}")).collect();
+    let edu: Vec<&str> = (0..n)
+        .map(|i| if i % 2 == 0 { "PhD" } else { "MS" })
+        .collect();
+    let bonus: Vec<f64> = (0..n).map(|i| 10_000.0 + 250.0 * i as f64).collect();
+    let source = TableBuilder::new("s")
+        .str_col("name", &names)
+        .str_col("edu", &edu)
+        .float_col("a_copy", &bonus)
+        .float_col("bonus", &bonus)
+        .key("name")
+        .build()
+        .unwrap();
+    let policy = [UpdateStatement::new(
+        "bonus",
+        Expr::affine("bonus", 1.05, 0.0),
+        Predicate::True,
+    )];
+    let target = apply_updates(&source, &policy, ApplyMode::FirstMatch)
+        .unwrap()
+        .table;
+    SnapshotPair::align(source, target).unwrap()
+}
+
+fn signature_bits(summaries: &[charles::core::ChangeSummary]) -> Vec<(String, u64)> {
+    summaries
+        .iter()
+        .map(|s| (s.signature(), s.scores.score.to_bits()))
+        .collect()
+}
+
+#[test]
+fn rescore_at_run_alpha_keeps_run_ranking() {
+    // Score ties break the same way in a run and in every re-ranking
+    // path: the autoregressive `1.05 × bonus` ranks above `1.05 × a_copy`.
+    let query = Query::new("bonus")
+        .with_alpha(0.5)
+        .with_condition_attrs(["edu"])
+        .with_transform_attrs(["a_copy", "bonus"]);
+    let session = Session::open(aliased_pair()).unwrap();
+    let run = session.run(&query).unwrap();
+    let top = run.top().unwrap();
+    assert_eq!(top.transform_attrs, vec!["bonus".to_string()], "{top}");
+    let rescored = session.rescore(&run, run.alpha).unwrap();
+    assert_eq!(
+        signature_bits(&rescored.summaries),
+        signature_bits(&run.summaries)
+    );
+    let swept = session.sweep_alpha(&run, &[run.alpha]).unwrap();
+    assert_eq!(
+        signature_bits(&swept[0].summaries),
+        signature_bits(&run.summaries)
+    );
+
+    let engine = Charles::from_pair(aliased_pair(), "bonus")
+        .unwrap()
+        .with_condition_attrs(["edu"])
+        .with_transform_attrs(["a_copy", "bonus"]);
+    let base = engine.run().unwrap();
+    assert_eq!(
+        signature_bits(&base.summaries),
+        signature_bits(&run.summaries)
+    );
+    let facade = engine.rescore(&base, 0.5).unwrap();
+    assert_eq!(
+        signature_bits(&facade.summaries),
+        signature_bits(&base.summaries)
+    );
+}

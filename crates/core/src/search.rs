@@ -193,8 +193,8 @@ type PartitionFit = Option<(Transformation, f64)>;
 /// partitions' rows, so the memos stay small.
 #[derive(Default)]
 struct RunMemos {
-    /// Condition attributes prepared for split search (numeric ones
-    /// sorted), once per run.
+    /// Condition attributes prepared for split search (rank-coded),
+    /// once per run.
     split_columns: Mutex<HashMap<AttrId, Option<Arc<SplitColumn>>>>,
     split_columns_prepared: AtomicUsize,
     /// Tree leaves per CART input: candidates that share a condition

@@ -52,8 +52,6 @@ pub enum RelationError {
     Io(String),
     /// An expression could not be evaluated.
     Eval(String),
-    /// An operation was attempted on an empty table where it is undefined.
-    EmptyTable(String),
     /// Generic invalid-argument error.
     InvalidArgument(String),
 }
@@ -84,9 +82,6 @@ impl fmt::Display for RelationError {
             }
             RelationError::Io(msg) => write!(f, "I/O error: {msg}"),
             RelationError::Eval(msg) => write!(f, "expression evaluation error: {msg}"),
-            RelationError::EmptyTable(op) => {
-                write!(f, "operation {op:?} is undefined on an empty table")
-            }
             RelationError::InvalidArgument(msg) => write!(f, "invalid argument: {msg}"),
         }
     }
@@ -134,6 +129,6 @@ mod tests {
     #[test]
     fn errors_are_std_errors() {
         fn assert_error<E: std::error::Error>(_: &E) {}
-        assert_error(&RelationError::EmptyTable("mean".into()));
+        assert_error(&RelationError::InvalidArgument("k".into()));
     }
 }

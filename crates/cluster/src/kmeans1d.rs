@@ -13,7 +13,18 @@
 //! clustering costs `O(k · n log n)` and is exact at every `n`.
 
 use crate::error::{ClusterError, Result};
-use crate::kmeans::KMeansResult;
+
+/// The result of [`kmeans_1d`].
+#[derive(Debug, Clone)]
+pub struct KMeansResult {
+    /// Cluster id (0..k) per input value, in input order; ids are
+    /// ordered by value.
+    pub assignments: Vec<usize>,
+    /// Cluster means, indexed by cluster id.
+    pub centroids: Vec<f64>,
+    /// Total within-cluster sum of squared deviations.
+    pub inertia: f64,
+}
 
 /// Cluster scalar `values` into exactly `k` groups, minimizing
 /// within-cluster sum of squared deviations. Exact at every input size.
@@ -81,7 +92,7 @@ pub fn kmeans_1d(values: &[f64], k: usize) -> Result<KMeansResult> {
     let mut centroids = Vec::with_capacity(k);
     for c in 0..k {
         let (lo, hi) = (boundaries[c], boundaries[c + 1]);
-        centroids.push(vec![costs.mean(lo, hi)]);
+        centroids.push(costs.mean(lo, hi));
         for &orig in &order[lo..hi] {
             assignments[orig] = c;
         }
@@ -90,7 +101,6 @@ pub fn kmeans_1d(values: &[f64], k: usize) -> Result<KMeansResult> {
         assignments,
         centroids,
         inertia: cost[n],
-        iterations: 1,
     })
 }
 
@@ -298,7 +308,7 @@ mod tests {
         let res = kmeans_1d(&values, 1).unwrap();
         assert_eq!(res.assignments, vec![0, 0]);
         assert!((res.inertia - 2.0).abs() < 1e-12);
-        assert!((res.centroids[0][0] - 2.0).abs() < 1e-12);
+        assert!((res.centroids[0] - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -8,13 +8,11 @@
 //! candidate partitions. This crate provides:
 //!
 //! - exact 1-D k-means by dynamic programming ([`kmeans_1d`]) — the
-//!   primary residual-clustering routine (deterministic and optimal at
-//!   every input size in `O(k · n log n)`, which Lloyd's algorithm on
-//!   residuals is not),
-//! - general k-dimensional k-means with k-means++ seeding ([`kmeans()`]),
-//! - silhouette scoring and automatic `k` selection ([`silhouette()`],
-//!   [`best_k`]), and
-//! - DBSCAN ([`dbscan()`]) as the partitioning ablation.
+//!   residual-clustering routine (deterministic and optimal at every
+//!   input size in `O(k · n log n)`, which Lloyd's algorithm on
+//!   residuals is not), and
+//! - DBSCAN ([`dbscan()`]) as the partitioning ablation
+//!   (`PartitionMethod::ResidualDbscan`).
 //!
 //! ```
 //! use charles_cluster::kmeans_1d;
@@ -30,14 +28,8 @@
 
 pub mod dbscan;
 pub mod error;
-pub mod kmeans;
 pub mod kmeans1d;
-pub mod select;
-pub mod silhouette;
 
 pub use dbscan::{dbscan, DbscanResult, NOISE};
 pub use error::{ClusterError, Result};
-pub use kmeans::{kmeans, KMeansConfig, KMeansResult};
-pub use kmeans1d::kmeans_1d;
-pub use select::{best_k, rank_k_choices, KCandidate};
-pub use silhouette::{silhouette, silhouette_1d};
+pub use kmeans1d::{kmeans_1d, KMeansResult};

@@ -295,10 +295,7 @@ pub fn analyze(
     let labels: Option<(Vec<usize>, usize)> = {
         let k = config.k_max.clamp(2, 6).min(rel_delta.len());
         if rel_delta.len() >= 4 {
-            kmeans_1d(&rel_delta, k).ok().map(|r| {
-                let k = r.k();
-                (r.assignments, k)
-            })
+            kmeans_1d(&rel_delta, k).ok().map(|r| (r.assignments, k))
         } else {
             None
         }

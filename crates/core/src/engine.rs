@@ -105,7 +105,6 @@ impl Charles {
 
     /// Override the assistant's condition-attribute shortlist (demo step 4's
     /// interactive filtering).
-    // lint:allow(cache-invalidation: the session's memo planes key on full candidate identity — target, C, T, k, alpha — so a different shortlist only changes which candidates are enumerated, never what a cached entry means)
     pub fn with_condition_attrs<I, S>(mut self, attrs: I) -> Self
     where
         I: IntoIterator<Item = S>,
@@ -117,7 +116,6 @@ impl Charles {
 
     /// Override the assistant's transformation-attribute shortlist (demo
     /// step 5).
-    // lint:allow(cache-invalidation: memo planes key on full candidate identity, so narrowing the transformation shortlist cannot surface a stale entry)
     pub fn with_transform_attrs<I, S>(mut self, attrs: I) -> Self
     where
         I: IntoIterator<Item = S>,

@@ -427,7 +427,6 @@ impl SessionManager {
         let session = Arc::new(spec.open_session(config)?);
         let approx_bytes = session.approx_plane_bytes();
 
-        // lint:allow(lock-discipline: latch → registry is the documented lock order; the registry lock is the leaf)
         let mut inner = self.lock_registry();
         inner.clock += 1;
         let tick = inner.clock;

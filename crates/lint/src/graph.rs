@@ -1,11 +1,10 @@
 //! Workspace symbol table and call graph.
 //!
 //! The statement-level rules in [`crate`] see one statement at a time;
-//! the contracts they guard, though, are *interprocedural*: a server
-//! route handler is one `?` away from a `charles_core` unwrap, a
-//! registry guard is held across a call that takes another lock two
-//! crates away, a hash-ordered fold's result is serialized by a function
-//! that never folded anything. This module gives the analyzer the
+//! the contracts the passes guard, though, are *interprocedural*: a
+//! server route handler is one `?` away from a `charles_core` unwrap,
+//! and a registry guard is held across a call that takes another lock
+//! two crates away. This module gives the analyzer the
 //! workspace view those checks need:
 //!
 //! - an **item parse** of every production file — `fn` items with their
@@ -21,9 +20,8 @@
 //!   `.len()` on an unknown receiver does not edge into every type that
 //!   happens to define `len`);
 //! - per-function **site inventories** the passes query: panic sites
-//!   (`unwrap`/`expect`/`panic!`-family/slice indexing), lock
-//!   acquisition sites with a syntactic lock identity, and float-taint
-//!   source material.
+//!   (`unwrap`/`expect`/`panic!`-family/slice indexing) and lock
+//!   acquisition sites with a syntactic lock identity.
 //!
 //! This is a heuristic, dependency-free analysis over the token stream —
 //! no type checker. It is deliberately tuned so over-approximation
@@ -65,11 +63,6 @@ pub struct FnItem {
     pub name: String,
     /// Enclosing `impl` type (or trait name for trait-block items).
     pub self_type: Option<String>,
-    /// Trait being implemented, for `impl Trait for Type` methods.
-    pub trait_name: Option<String>,
-    /// Declared inside a `trait` block (a default method when `body` is
-    /// non-empty, a bare declaration otherwise).
-    pub in_trait_decl: bool,
     /// Index into the workspace file list.
     pub file: usize,
     /// 1-based line of the `fn` keyword.
@@ -81,10 +74,6 @@ pub struct FnItem {
     pub in_test: bool,
     /// Declared parameters (excluding `self`).
     pub params: Vec<Param>,
-    /// Whether a `self` receiver is present.
-    pub has_self: bool,
-    /// Whether the return type mentions `f64`/`f32`.
-    pub returns_float: bool,
     /// Whether the return type is a lock guard (`MutexGuard`,
     /// `RwLockReadGuard`, `RwLockWriteGuard`) — a call then *transfers*
     /// the held lock to the caller (`lock_registry()`-style helpers).
@@ -101,8 +90,6 @@ pub struct Call {
     pub tok: usize,
     /// 1-based line of the call.
     pub line: u32,
-    /// Argument token ranges (receiver excluded), for taint mapping.
-    pub args: Vec<(usize, usize)>,
 }
 
 /// Why a site can panic.
@@ -345,11 +332,11 @@ impl Workspace {
     // -- item parsing -------------------------------------------------
 
     fn parse_items(&mut self, file: usize, toks: &[Tok]) {
-        // Enclosing impl/trait spans: (type, trait, in_trait_decl, end).
-        let mut contexts: Vec<(String, Option<String>, bool, usize)> = Vec::new();
+        // Enclosing impl/trait spans: (type, end).
+        let mut contexts: Vec<(String, usize)> = Vec::new();
         let mut i = 0usize;
         while i < toks.len() {
-            contexts.retain(|c| c.3 > i);
+            contexts.retain(|c| c.1 > i);
             let t = &toks[i];
             if is_i(t, "struct") && i + 1 < toks.len() && toks[i + 1].kind == TokKind::Ident {
                 let name = toks[i + 1].text.clone();
@@ -386,7 +373,7 @@ impl Workspace {
                             .push(ty.clone());
                     }
                     let end = matching_brace(toks, body_open);
-                    contexts.push((ty, tr, false, end));
+                    contexts.push((ty, end));
                     i = body_open + 1;
                     continue;
                 }
@@ -399,7 +386,7 @@ impl Workspace {
                 }
                 if j < toks.len() && is_p(&toks[j], "{") {
                     let end = matching_brace(toks, j);
-                    contexts.push((name, None, true, end));
+                    contexts.push((name, end));
                     i = j + 1;
                     continue;
                 }
@@ -549,12 +536,10 @@ impl Workspace {
                         self.resolve_free_call(item, &t.text, files)
                     };
                     if !callees.is_empty() {
-                        let args = arg_ranges(toks, i + 1, end);
                         calls.push(Call {
                             callees,
                             tok: i,
                             line: t.line,
-                            args,
                         });
                     }
                 }
@@ -852,12 +837,7 @@ fn parse_impl_header(toks: &[Tok], at: usize) -> Option<(String, Option<String>,
 /// Parse one `fn` item starting at `at` (the `fn` token). Returns the
 /// item and the token index to resume scanning at (just past the
 /// signature — bodies are re-entered so nested fns are discovered).
-fn parse_fn(
-    toks: &[Tok],
-    at: usize,
-    file: usize,
-    contexts: &[(String, Option<String>, bool, usize)],
-) -> (FnItem, usize) {
+fn parse_fn(toks: &[Tok], at: usize, file: usize, contexts: &[(String, usize)]) -> (FnItem, usize) {
     let name = toks[at + 1].text.clone();
     let line = toks[at].line;
     let in_test = toks[at].in_test;
@@ -876,9 +856,8 @@ fn parse_fn(
     }
     let params_open = j;
     let params_close = matching_delim(toks, params_open, "(", ")");
-    let (params, has_self) = parse_params(&toks[params_open + 1..params_close.min(toks.len())]);
+    let params = parse_params(&toks[params_open + 1..params_close.min(toks.len())]);
     // Return type and body.
-    let mut returns_float = false;
     let mut returns_guard = false;
     let mut body = (0usize, 0usize);
     let mut k = params_close + 1;
@@ -893,8 +872,6 @@ fn parse_fn(
             break;
         } else if is_p(t, ";") {
             break;
-        } else if after_arrow && (is_i(t, "f64") || is_i(t, "f32")) {
-            returns_float = true;
         } else if after_arrow
             && matches!(
                 t.text.as_str(),
@@ -907,19 +884,14 @@ fn parse_fn(
         }
         k += 1;
     }
-    let ctx = contexts.last();
     let item = FnItem {
         name,
-        self_type: ctx.map(|c| c.0.clone()),
-        trait_name: ctx.and_then(|c| c.1.clone()),
-        in_trait_decl: ctx.is_some_and(|c| c.2),
+        self_type: contexts.last().map(|c| c.0.clone()),
         file,
         line,
         body,
         in_test,
         params,
-        has_self,
-        returns_float,
         returns_guard,
     };
     (item, params_close.min(toks.len().saturating_sub(1)) + 1)
@@ -941,15 +913,14 @@ fn matching_delim(toks: &[Tok], open: usize, op: &str, cl: &str) -> usize {
     toks.len().saturating_sub(1)
 }
 
-/// Parse a parameter list body (between the signature parens).
-fn parse_params(toks: &[Tok]) -> (Vec<Param>, bool) {
+/// Parse a parameter list body (between the signature parens); a
+/// `self` receiver is not recorded.
+fn parse_params(toks: &[Tok]) -> Vec<Param> {
     let mut params = Vec::new();
-    let mut has_self = false;
     let mut depth = 0i32;
     let mut part: Vec<&Tok> = Vec::new();
-    let flush = |part: &mut Vec<&Tok>, has_self: &mut bool, params: &mut Vec<Param>| {
+    let flush = |part: &mut Vec<&Tok>, params: &mut Vec<Param>| {
         if part.iter().any(|t| is_i(t, "self")) {
-            *has_self = true;
             part.clear();
             return;
         }
@@ -978,40 +949,13 @@ fn parse_params(toks: &[Tok]) -> (Vec<Param>, bool) {
         } else if is_p(t, ")") || is_p(t, "]") || is_p(t, "}") || is_p(t, ">") {
             depth -= 1;
         } else if depth <= 0 && is_p(t, ",") {
-            flush(&mut part, &mut has_self, &mut params);
+            flush(&mut part, &mut params);
             continue;
         }
         part.push(t);
     }
-    flush(&mut part, &mut has_self, &mut params);
-    (params, has_self)
-}
-
-/// Top-level argument token ranges of the call whose `(` is at `open`
-/// (ranges exclude the parens; empty list for `()`).
-fn arg_ranges(toks: &[Tok], open: usize, limit: usize) -> Vec<(usize, usize)> {
-    let close = matching_delim(toks, open, "(", ")").min(limit);
-    let mut out = Vec::new();
-    let mut depth = 0i32;
-    let mut start = open + 1;
-    let last = close.min(toks.len().saturating_sub(1));
-    for (i, t) in toks.iter().enumerate().take(last + 1).skip(open) {
-        if is_p(t, "(") || is_p(t, "[") || is_p(t, "{") {
-            depth += 1;
-        } else if is_p(t, ")") || is_p(t, "]") || is_p(t, "}") {
-            depth -= 1;
-            if depth == 0 {
-                if i > start {
-                    out.push((start, i));
-                }
-                break;
-            }
-        } else if depth == 1 && is_p(t, ",") {
-            out.push((start, i));
-            start = i + 1;
-        }
-    }
-    out
+    flush(&mut part, &mut params);
+    params
 }
 
 /// The receiver chain's identity for a lock site: the last field or

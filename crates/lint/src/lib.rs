@@ -1,18 +1,19 @@
 #![forbid(unsafe_code)]
-//! `charles-lint`: workspace static analysis for ChARLES's standing
-//! invariants.
+//! `charles-lint`: workspace static analysis for the ChARLES invariants
+//! that no exact test can pin.
 //!
-//! The repo's architecture bet is that multi-threaded and SIMD-blocked
-//! execution both stay `to_bits`-identical to the single-threaded
-//! oracle. That contract is sampled by the differential
-//! test harness, but a violation is cheap to *reintroduce* — one
-//! hash-ordered fold or raw JSON float and the bits drift. This crate
-//! checks the rules at the source level, on every build, with no
-//! dependencies (the build environment is offline, so no `syn`): a
-//! hand-rolled tokenizer (`token`) feeds a statement-level rule engine
-//! plus a workspace-level interprocedural analyzer (`graph` builds the
-//! symbol table and call graph; `reach`, `locks`, `taint`, `coherence`,
-//! and `wire` are the passes that query it).
+//! Exact tests cover what they can: the wire protocol is one op table
+//! and one error-code enum in `charles_server::proto` (round-tripped by
+//! `tests/proto_roundtrip.rs`), and thread-independence is checked bit
+//! for bit by `crates/core/tests/determinism.rs` and
+//! `tests/candidate_partition.rs`.
+//! This crate checks what is cheap to *reintroduce* and expensive to
+//! catch by sampling — one hash-ordered fold, one raw JSON float, one
+//! unwrap on the request path. It has no dependencies (the build
+//! environment is offline, so no `syn`): a hand-rolled tokenizer
+//! (`token`) feeds a statement-level rule engine plus a workspace call
+//! graph (`graph`) that the two interprocedural passes (`reach`,
+//! `locks`) query.
 //!
 //! Statement-level rules (scope in parentheses):
 //!
@@ -24,15 +25,11 @@
 //!   feeding order-sensitive sinks (serialization, ranking, float or
 //!   collection accumulation). Use `BTreeMap`/`BTreeSet` or sort in the
 //!   same statement.
-//! - `wire-float-exactness` (`proto.rs`): floats crossing
-//!   the wire must use the `to_bits` hex helpers, never raw JSON
-//!   numbers.
+//! - `wire-float-exactness` (`proto.rs`): every raw `Json::Num` is a
+//!   finding; floats reach the wire only through `human_f64`, the one
+//!   suppressed site (shortest-round-trip decimal, read back bit-exact).
 //! - `block-grid-literals` (everywhere): bare `128` block math must
 //!   reference `GRAM_BLOCK_ROWS`.
-//! - `lock-discipline` (`manager.rs` / `server.rs`): no acquiring a
-//!   second lock (`.lock()` / `.read()` / `.write()` / `lock_*()`
-//!   helpers) while a let-bound guard is still live, except against the
-//!   documented lock order (suppress with a reason at the site).
 //!
 //! Interprocedural passes (workspace call graph; findings carry a
 //! `call_chain`):
@@ -45,22 +42,6 @@
 //! - `lock-order`: cycles and documented-order (`latch → registry`)
 //!   reversals in the workspace lock graph, including holds that span
 //!   calls and crates (see `locks`).
-//! - `float-taint`: values from non-`kernels` float folds or hash-order
-//!   iteration that reach wire serialization or ranking sinks in a
-//!   *different* function (see `taint`).
-//! - `cache-invalidation`: every function mutating state a cache/memo
-//!   surface is derived from (fields of structs holding `OnceLock` or
-//!   `Mutex`-guarded memo maps) must transitively reach the matching
-//!   invalidation/reset, directly or through every caller (see
-//!   `coherence`).
-//! - `byte-accounting`: a function swapping an `Arc` buffer in a
-//!   cache-bearing struct must be backed by an `approx_bytes`-style
-//!   accounting method on that struct (see `coherence`).
-//! - `wire-drift`: encode/decode symmetry over the protocol files —
-//!   every emitted `op` has a decode arm and a dispatch arm, every
-//!   written object key is read back (and vice versa; intentional
-//!   asymmetries carry `wire:legacy-default(key: reason)`), error codes
-//!   and the protocol version come from one registry (see `wire`).
 //!
 //! Suppressions: `// lint:allow(rule)` or `// lint:allow(rule: reason)`
 //! on the finding's line, or on a standalone comment line directly above
@@ -75,13 +56,10 @@
 //! for suppression hygiene, but no rules run and they stay out of the
 //! call graph.
 
-pub mod coherence;
 pub mod graph;
 pub mod locks;
 pub mod reach;
-pub mod taint;
 pub mod token;
-pub mod wire;
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
@@ -92,27 +70,21 @@ use graph::{LintFile, Workspace};
 use token::{num_is_float, FileTokens, Tok, TokKind};
 
 /// The enforceable rule names, as accepted by `lint:allow(...)`.
-pub const RULES: [&str; 11] = [
+pub const RULES: [&str; 6] = [
     "float-fold-order",
     "ordered-iteration",
     "wire-float-exactness",
     "block-grid-literals",
     "no-panic-in-request-path",
-    "lock-discipline",
     "lock-order",
-    "float-taint",
-    "cache-invalidation",
-    "byte-accounting",
-    "wire-drift",
 ];
 
 /// Pseudo-rule under which stale/unknown suppressions are reported.
 /// Deliberately not in [`RULES`]: it cannot itself be suppressed.
 pub const UNUSED_SUPPRESSION: &str = "unused-suppression";
 
-/// Contract attached to every [`UNUSED_SUPPRESSION`] finding (shared by
-/// the `lint:allow` machinery and the wire pass's legacy markers).
-pub const SUPPRESSION_CONTRACT: &str = "every suppression matches a live finding";
+/// Contract attached to every [`UNUSED_SUPPRESSION`] finding.
+const SUPPRESSION_CONTRACT: &str = "every suppression matches a live finding";
 
 /// One lint finding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -195,10 +167,7 @@ pub fn lint_sources(inputs: Vec<(String, String)>) -> Report {
         .collect();
     let inter = reach::panic_reachability(&ws, &files)
         .into_iter()
-        .chain(locks::lock_order(&ws, &files))
-        .chain(taint::float_taint(&ws, &files))
-        .chain(coherence::mutation_coherence(&ws, &files))
-        .chain(wire::wire_drift(&ws, &files));
+        .chain(locks::lock_order(&ws, &files));
     for f in inter {
         if let Some(&i) = by_path.get(f.path.as_str()) {
             per_file[i].push(f);
@@ -341,28 +310,6 @@ pub fn render_json(report: &Report) -> String {
     }
     out.push_str("]}");
     out
-}
-
-/// Restrict a report to findings in the files named by `list`
-/// (comma-separated; each entry matches its exact workspace-relative
-/// path, or any path with that basename). Reporting narrows, the
-/// analysis that produced the report does not: callers lint the whole
-/// tree first, so an edit in one file still surfaces contract breaks it
-/// causes three crates away — those just anchor in the changed file's
-/// findings via their call chains.
-pub fn retain_changed_only(report: &mut Report, list: &str) {
-    let wanted: Vec<&str> = list
-        .split(',')
-        .map(str::trim)
-        .filter(|s| !s.is_empty())
-        .collect();
-    report.findings.retain(|f| {
-        wanted.iter().any(|w| {
-            f.path == *w
-                || f.path.ends_with(&format!("/{w}"))
-                || w.ends_with(&format!("/{}", f.path))
-        })
-    });
 }
 
 fn json_escape(s: &str) -> String {
@@ -586,7 +533,6 @@ fn run_rules(rel: &str, ft: &FileTokens) -> Vec<Finding> {
     let fname = rel.rsplit('/').next().unwrap_or(rel);
     let float_fold_in_scope = !rel.ends_with("numerics/src/kernels.rs");
     let wire_in_scope = fname == "proto.rs";
-    let lock_in_scope = fname == "manager.rs" || fname == "server.rs";
 
     let hash_idents = collect_hash_idents(toks);
     // Identifiers declared with a float type in the current function
@@ -615,10 +561,6 @@ fn run_rules(rel: &str, ft: &FileTokens) -> Vec<Finding> {
             wire_float_rule(rel, s, &mut out);
         }
         block_grid_rule(rel, s, &mut out);
-    }
-
-    if lock_in_scope {
-        lock_discipline_rule(rel, toks, &stmts, &mut out);
     }
     out
 }
@@ -702,7 +644,7 @@ fn float_fold_rule(rel: &str, s: &[Tok], decls: &BTreeSet<String>, out: &mut Vec
                 line: s[i].line,
                 message: format!(
                     "{what}; route float reductions through `charles_numerics::kernels` \
-                     (fixed fold order) to keep shard/SIMD execution bit-identical"
+                     (fixed fold order) to keep threaded/SIMD execution bit-identical"
                 ),
                 contract: "float reductions use the kernels' fixed fold order",
                 call_chain: Vec::new(),
@@ -839,27 +781,17 @@ fn ordered_iteration_rule(
 }
 
 fn wire_float_rule(rel: &str, s: &[Tok], out: &mut Vec<Finding>) {
-    let exact = s.iter().any(|t| {
-        t.kind == TokKind::Ident
-            && matches!(
-                t.text.as_str(),
-                "f64_bits" | "f64_from_bits" | "to_bits" | "from_bits"
-            )
-    });
-    if exact {
-        return;
-    }
     for i in 0..s.len().saturating_sub(2) {
         if is_i(&s[i], "Json") && is_p(&s[i + 1], "::") && is_i(&s[i + 2], "Num") {
             out.push(Finding {
                 rule: "wire-float-exactness",
                 path: rel.to_string(),
                 line: s[i + 2].line,
-                message: "raw JSON float on the wire; decimal round-trips are not \
-                          bit-exact — use the `f64_bits`/`f64_from_bits` hex helpers \
-                          (or suppress with a reason for human-facing decimals)"
+                message: "raw `Json::Num` on the wire; send floats through `human_f64` \
+                          (shortest-round-trip decimal, read back bit-exact) so every \
+                          float the protocol carries has one encoding"
                     .to_string(),
-                contract: "floats cross the wire as to_bits hex, never decimals",
+                contract: "floats reach the wire only through human_f64",
                 call_chain: Vec::new(),
             });
         }
@@ -898,99 +830,6 @@ fn num_is_128(text: &str) -> bool {
     digits == "128"
         && rest.chars().all(|c| c.is_alphanumeric())
         && !rest.starts_with(|c: char| c.is_ascii_digit())
-}
-
-/// Acquisition = `.lock()` / `.read()` / `.write()` with no arguments
-/// (so `stream.read(&mut buf)` io calls don't match), or a call to a
-/// project lock helper named `lock_*`.
-fn stmt_acquisitions(s: &[Tok]) -> Vec<usize> {
-    let mut hits = Vec::new();
-    for i in 0..s.len() {
-        let t = &s[i];
-        if t.kind != TokKind::Ident {
-            continue;
-        }
-        let guard_method = i > 0
-            && is_p(&s[i - 1], ".")
-            && matches!(t.text.as_str(), "lock" | "read" | "write")
-            && i + 2 < s.len()
-            && is_p(&s[i + 1], "(")
-            && is_p(&s[i + 2], ")");
-        let helper = t.text.starts_with("lock_") && i + 1 < s.len() && is_p(&s[i + 1], "(");
-        if guard_method || helper {
-            hits.push(i);
-        }
-    }
-    hits
-}
-
-fn lock_discipline_rule(rel: &str, toks: &[Tok], stmts: &[(usize, usize)], out: &mut Vec<Finding>) {
-    let mut depth = 0i32;
-    // Live let-bound guards: (name, brace depth at binding).
-    let mut guards: Vec<(String, i32)> = Vec::new();
-
-    for &(a, b) in stmts {
-        let s = &toks[a..b];
-        if s.is_empty() {
-            continue;
-        }
-        let skip = s.iter().any(|t| t.in_test);
-
-        if !skip {
-            if s.iter().any(|t| is_i(t, "fn")) {
-                guards.clear();
-            }
-            // `drop(guard)` releases early.
-            for i in 0..s.len().saturating_sub(2) {
-                if is_i(&s[i], "drop") && is_p(&s[i + 1], "(") && s[i + 2].kind == TokKind::Ident {
-                    let name = s[i + 2].text.clone();
-                    guards.retain(|(g, _)| *g != name);
-                }
-            }
-            let acquisitions = stmt_acquisitions(s);
-            for &i in &acquisitions {
-                if let Some((held, _)) = guards.first() {
-                    out.push(Finding {
-                        rule: "lock-discipline",
-                        path: rel.to_string(),
-                        line: s[i].line,
-                        message: format!(
-                            "acquiring `{}` while guard `{held}` is still held; nested \
-                             locks deadlock under contention — drop the guard first, or \
-                             suppress citing the documented lock order",
-                            s[i].text
-                        ),
-                        contract: "nested lock acquisition follows the documented order",
-                        call_chain: Vec::new(),
-                    });
-                }
-            }
-            // A `let`-bound acquisition keeps its guard live to scope end.
-            if !acquisitions.is_empty() && is_i(&s[0], "let") {
-                let name_at = if s.len() > 1 && is_i(&s[1], "mut") {
-                    2
-                } else {
-                    1
-                };
-                if let Some(name) = s.get(name_at) {
-                    if name.kind == TokKind::Ident {
-                        guards.push((name.text.clone(), depth));
-                    }
-                }
-            }
-        }
-
-        // Track brace depth from the statement terminator (always the
-        // last token of the run when it is `{` or `}`).
-        if let Some(last) = s.last() {
-            if is_p(last, "{") {
-                depth += 1;
-            } else if is_p(last, "}") {
-                depth -= 1;
-                guards.retain(|(_, d)| *d <= depth);
-            }
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------

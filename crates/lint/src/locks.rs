@@ -1,7 +1,5 @@
 //! Workspace lock-order analysis.
 //!
-//! The statement-level `lock-discipline` rule sees nested acquisitions
-//! only when both sit in the same statement of `manager.rs`/`server.rs`.
 //! The deadlocks that actually bite span functions and crates: a
 //! registry guard from `lock_registry()` is alive in `manager.rs` while
 //! the code calls into a session helper that takes the latch — an

@@ -3,8 +3,7 @@
 //! nonzero when any survive suppression.
 //!
 //! Usage: `charles-lint [--json] [--fix-suppressions [--apply]]
-//!         [--bench-out PATH] [--max-seconds N] [--changed-only LIST]
-//!         [ROOT]`
+//!         [--bench-out PATH] [--max-seconds N] [ROOT]`
 //!
 //! - `ROOT` defaults to the current directory (CI runs
 //!   `cargo run -p charles-lint` from the repo root).
@@ -16,13 +15,7 @@
 //! - `--bench-out PATH` writes wall-time and finding/suppression counts
 //!   as JSON (the CI lint job records `BENCH_lint.json`).
 //! - `--max-seconds N` fails (exit 1) if the pass took longer — the
-//!   call graph must stay cheap enough to run on every PR.
-//! - `--changed-only LIST` (comma-separated paths or basenames)
-//!   restricts *reporting* to findings in the listed files. The whole
-//!   workspace is still read and the full call graph built — an edit in
-//!   `kernels.rs` can surface a stale cache three crates away, so the
-//!   analysis itself never narrows; only the report does. Exit code 1
-//!   still means "the listed files carry findings".
+//!   call graph must stay cheap enough to run on every change.
 //!
 //! Exit codes: 0 clean, 1 findings (or over time budget), 2 usage or
 //! I/O error.
@@ -33,15 +26,12 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 const USAGE: &str = "usage: charles-lint [--json] [--fix-suppressions [--apply]] \
-                     [--bench-out PATH] [--max-seconds N] [--changed-only LIST] [ROOT]";
+                     [--bench-out PATH] [--max-seconds N] [ROOT]";
 
 const HELP: &str = "  --json                machine-readable report (schema version 3)
   --fix-suppressions    list stale lint:allow lines (--apply rewrites)
   --bench-out PATH      write wall-time + counts as JSON
   --max-seconds N       exit 1 if the pass took longer
-  --changed-only LIST   comma-separated paths/basenames: report only
-                        findings in those files (the full workspace
-                        graph is still built and analyzed)
 
 exit codes: 0 clean, 1 findings or over time budget, 2 usage/IO error";
 
@@ -51,7 +41,6 @@ fn main() -> ExitCode {
     let mut apply = false;
     let mut bench_out: Option<PathBuf> = None;
     let mut max_seconds: Option<f64> = None;
-    let mut changed_only: Option<String> = None;
     let mut root: Option<PathBuf> = None;
     let mut args = env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -70,13 +59,6 @@ fn main() -> ExitCode {
                 Some(n) => max_seconds = Some(n),
                 None => {
                     eprintln!("charles-lint: --max-seconds needs a number\n{USAGE}");
-                    return ExitCode::from(2);
-                }
-            },
-            "--changed-only" => match args.next() {
-                Some(list) => changed_only = Some(list),
-                None => {
-                    eprintln!("charles-lint: --changed-only needs a file list\n{USAGE}");
                     return ExitCode::from(2);
                 }
             },
@@ -127,7 +109,7 @@ fn main() -> ExitCode {
     }
 
     let started = Instant::now();
-    let mut report = match charles_lint::lint_tree(&root) {
+    let report = match charles_lint::lint_tree(&root) {
         Ok(report) => report,
         Err(e) => {
             eprintln!("charles-lint: failed to scan {}: {e}", root.display());
@@ -135,9 +117,6 @@ fn main() -> ExitCode {
         }
     };
     let wall = started.elapsed().as_secs_f64();
-    if let Some(list) = &changed_only {
-        charles_lint::retain_changed_only(&mut report, list);
-    }
 
     if let Some(path) = &bench_out {
         let bench = format!(

@@ -47,9 +47,8 @@ pub struct Tok {
     /// Token class.
     pub kind: TokKind,
     /// Verbatim source text. For `Str` the delimiters are stripped and
-    /// the body kept with escapes verbatim — the wire-drift pass reads
-    /// object keys and `op` strings out of literals; statement rules
-    /// still never match needles inside them (the kind gates that).
+    /// the body kept with escapes verbatim; rules never match needles
+    /// inside them (the kind gates that).
     pub text: String,
     /// 1-based source line of the token's first character.
     pub line: u32,

@@ -12,11 +12,4 @@ impl Router {
     pub fn handle(&self, name: &str) -> f64 {
         self.store.lookup(name)
     }
-
-    /// Serializes a value a core helper folded ad hoc — the fold's own
-    /// line carries a (locally justified) allow, but the value must not
-    /// reach the wire.
-    pub fn emit_total(&self, xs: &[f64]) -> Json {
-        Json::Num(blended_total(xs))
-    }
 }

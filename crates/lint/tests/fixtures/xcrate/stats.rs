@@ -1,15 +1,6 @@
-//! Cross-crate fixture: linted as `crates/core/src/stats.rs`. The
-//! ad-hoc fold here is locally allowed (the statement rule is silenced),
-//! but its *return value* is serialized by `routes.rs` — the taint pass
-//! must still connect the two. `rebalance` inverts the documented
-//! `latch → registry` order across two files.
-
-/// Returns an ad-hoc float fold — tainted at the fold, flagged where the
-/// value hits the wire.
-pub fn blended_total(xs: &[f64]) -> f64 {
-    // lint:allow(float-fold-order: local blend for a summary line)
-    xs.iter().sum()
-}
+//! Cross-crate fixture: linted as `crates/core/src/stats.rs`.
+//! `rebalance` inverts the documented `latch → registry` order across
+//! two files.
 
 /// Takes the registry, then calls a helper that takes the latch:
 /// `registry → latch`, reversing the documented order and closing a

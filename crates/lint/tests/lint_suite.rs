@@ -70,6 +70,11 @@ fn wire_float_exactness_catches_fixture() {
     let findings = lint_source("crates/server/src/proto.rs", src);
     let lines = lines_for(&findings, "wire-float-exactness");
     assert_eq!(lines.len(), 1, "only the raw Json::Num site: {findings:?}");
+    // The allow on the one sanctioned encoder is consumed, not stale.
+    assert!(
+        lines_for(&findings, UNUSED_SUPPRESSION).is_empty(),
+        "{findings:?}"
+    );
 }
 
 #[test]
@@ -132,26 +137,13 @@ fn no_panic_out_of_scope_outside_server() {
     assert!(lines_for(&findings, "no-panic-in-request-path").is_empty());
 }
 
-#[test]
-fn lock_discipline_catches_fixture() {
-    let src = include_str!("fixtures/lock_nesting.rs");
-    let findings = lint_source("crates/core/src/manager.rs", src);
-    let lines = lines_for(&findings, "lock-discipline");
-    assert_eq!(
-        lines.len(),
-        1,
-        "only the nested pair; scope release and drop() are clean: {findings:?}"
-    );
-}
-
 // ---------------------------------------------------------------------------
 // Interprocedural passes over the multi-file xcrate fixture workspace
 // ---------------------------------------------------------------------------
 
 /// The three xcrate fixture files as one synthetic workspace: a server
 /// routes file (seed surface), a core store (deep panic + one half of
-/// the lock order), and a core stats helper (tainted fold + the lock
-/// inversion).
+/// the lock order), and a core stats helper (the lock inversion).
 fn xcrate_workspace() -> charles_lint::Report {
     lint_sources(vec![
         (
@@ -235,40 +227,6 @@ fn xcrate_lock_order_detects_cross_file_inversion_and_cycle() {
 }
 
 #[test]
-fn xcrate_float_taint_follows_returned_value_to_wire() {
-    let report = xcrate_workspace();
-    let taints: Vec<&Finding> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == "float-taint")
-        .collect();
-    assert_eq!(taints.len(), 1, "{:?}", report.findings);
-    let f = taints[0];
-    // Flagged at the sink (the server file), not at the fold.
-    assert_eq!(f.path, "crates/server/src/routes.rs");
-    assert!(f.message.contains("ad-hoc float fold"), "{f:?}");
-    assert_eq!(
-        f.call_chain,
-        vec![
-            "stats.rs::blended_total".to_string(),
-            "routes.rs::Router::emit_total".to_string(),
-        ],
-        "{f:?}"
-    );
-    // The fold's own local allow silenced the statement rule without
-    // certifying the wire path — and is therefore *used*, not stale.
-    assert!(
-        report
-            .findings
-            .iter()
-            .all(|f| f.rule != "float-fold-order" && f.rule != UNUSED_SUPPRESSION),
-        "{:?}",
-        report.findings
-    );
-    assert!(report.suppressions_used >= 1);
-}
-
-#[test]
 fn relaxed_test_files_get_suppression_hygiene_but_no_rules() {
     // A tests/ file may fold floats freely (it is not served), but a
     // stale allow in it is still reported — and it must not contribute
@@ -283,205 +241,6 @@ fn relaxed_test_files_get_suppression_hygiene_but_no_rules() {
     )]);
     let rules: Vec<&str> = report.findings.iter().map(|f| f.rule).collect();
     assert_eq!(rules, vec![UNUSED_SUPPRESSION], "{:?}", report.findings);
-}
-
-// ---------------------------------------------------------------------------
-// Mutation-coherence pass
-// ---------------------------------------------------------------------------
-
-#[test]
-fn cache_invalidation_reports_three_hop_mutator_chain() {
-    let src = include_str!("fixtures/cache_coherence.rs");
-    let findings = lint_source("crates/core/src/fixture.rs", src);
-    let stale: Vec<&Finding> = findings
-        .iter()
-        .filter(|f| f.rule == "cache-invalidation")
-        .collect();
-    assert_eq!(
-        stale.len(),
-        1,
-        "only the commit path; retag resets inline and replace_rows is allowed: {findings:?}"
-    );
-    let f = stale[0];
-    assert!(
-        f.message.contains("`Plane::commit` mutates `Plane.rows`"),
-        "{f:?}"
-    );
-    assert_eq!(
-        f.call_chain,
-        vec![
-            "fixture.rs::Plane::append_rows".to_string(),
-            "fixture.rs::Plane::stage".to_string(),
-            "fixture.rs::Plane::commit".to_string(),
-            "[stale cache: Plane.`memo`]".to_string(),
-        ],
-        "root caller -> ... -> mutator -> stale surface: {f:?}"
-    );
-    assert_eq!(
-        f.contract,
-        "every cache mutator reaches the matching invalidation"
-    );
-    // The reasoned allow on replace_rows is consumed, not stale.
-    assert!(
-        lines_for(&findings, UNUSED_SUPPRESSION).is_empty(),
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn byte_accounting_requires_approx_bytes_for_arc_swaps() {
-    let src = include_str!("fixtures/arc_accounting.rs");
-    let findings = lint_source("crates/relation/src/fixture.rs", src);
-    let swaps: Vec<&Finding> = findings
-        .iter()
-        .filter(|f| f.rule == "byte-accounting")
-        .collect();
-    assert_eq!(
-        swaps.len(),
-        1,
-        "Store is blind, Tracked has approx_bytes: {findings:?}"
-    );
-    assert!(
-        swaps[0].message.contains("`Store::swap_buf`"),
-        "{:?}",
-        swaps[0]
-    );
-    // Both swap paths clear their memo, so no cache-invalidation noise.
-    assert!(
-        findings.iter().all(|f| f.rule == "byte-accounting"),
-        "{findings:?}"
-    );
-}
-
-// ---------------------------------------------------------------------------
-// Wire-drift pass over the two-file wire fixture workspace
-// ---------------------------------------------------------------------------
-
-fn wire_workspace(proto_prefix: &str) -> charles_lint::Report {
-    lint_sources(vec![
-        (
-            "crates/server/src/proto.rs".to_string(),
-            format!("{proto_prefix}{}", include_str!("fixtures/wire/proto.rs")),
-        ),
-        (
-            "crates/server/src/server.rs".to_string(),
-            include_str!("fixtures/wire/server.rs").to_string(),
-        ),
-    ])
-}
-
-#[test]
-fn wire_drift_catches_decode_gap_key_asymmetry_dispatch_gap_and_code_typo() {
-    let report = wire_workspace("");
-    let wire: Vec<&Finding> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == "wire-drift")
-        .collect();
-    assert_eq!(wire.len(), 4, "{:?}", report.findings);
-    assert!(
-        wire.iter().any(|f| f.path.ends_with("proto.rs")
-            && f.message.contains("op \"halt\"")
-            && f.message.contains("no \"halt\" decode arm")),
-        "encoded op without a decode arm: {wire:?}"
-    );
-    assert!(
-        wire.iter().any(|f| f.path.ends_with("proto.rs")
-            && f.message.contains("encodes key \"extra\"")
-            && f.message.contains("never reads it")),
-        "write-only key: {wire:?}"
-    );
-    assert!(
-        wire.iter().any(|f| f.path.ends_with("server.rs")
-            && f.message.contains("`dispatch` has no `Request::Halt` arm")),
-        "op without a dispatch arm, anchored at dispatch: {wire:?}"
-    );
-    assert!(
-        wire.iter()
-            .any(|f| f.path.ends_with("server.rs")
-                && f.message.contains("error code \"bad_reqest\"")),
-        "unregistered error code: {wire:?}"
-    );
-    // The symmetric keys (v, op, n), the decoded op, the in-registry
-    // code, and PROTOCOL_VERSION handling all stay quiet.
-    assert!(
-        report.findings.iter().all(|f| f.rule == "wire-drift"),
-        "{:?}",
-        report.findings
-    );
-}
-
-#[test]
-fn wire_legacy_default_marker_allows_key_asymmetry_once() {
-    let report = wire_workspace("// wire:legacy-default(extra: kept for 0.x readers)\n");
-    assert!(
-        !report
-            .findings
-            .iter()
-            .any(|f| f.message.contains("encodes key \"extra\"")),
-        "marked asymmetry must not be reported: {:?}",
-        report.findings
-    );
-    // The used marker is not reported stale either.
-    assert!(
-        lines_for(&report.findings, UNUSED_SUPPRESSION).is_empty(),
-        "{:?}",
-        report.findings
-    );
-    assert_eq!(
-        report
-            .findings
-            .iter()
-            .filter(|f| f.rule == "wire-drift")
-            .count(),
-        3,
-        "{:?}",
-        report.findings
-    );
-}
-
-#[test]
-fn stale_wire_legacy_default_marker_is_reported() {
-    let report = wire_workspace("// wire:legacy-default(ghost: never existed)\n");
-    let stale: Vec<&Finding> = report
-        .findings
-        .iter()
-        .filter(|f| f.rule == UNUSED_SUPPRESSION)
-        .collect();
-    assert_eq!(stale.len(), 1, "{:?}", report.findings);
-    assert!(
-        stale[0].message.contains("wire:legacy-default(ghost)"),
-        "{:?}",
-        stale[0]
-    );
-    assert_eq!(stale[0].line, 1);
-}
-
-#[test]
-fn hard_coded_version_literal_is_reported() {
-    let src = "impl Frame {\n    \
-               pub fn to_json(&self) -> String {\n        \
-               render(&[(\"v\", String::from(\"1\"))])\n    }\n}\n\
-               fn render(_obj: &[(&str, String)]) -> String {\n    String::new()\n}\n";
-    let findings = lint_source("crates/server/src/proto.rs", src);
-    let wire = lines_for(&findings, "wire-drift");
-    assert_eq!(wire.len(), 1, "{findings:?}");
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.message.contains("without referencing `PROTOCOL_VERSION`")),
-        "{findings:?}"
-    );
-}
-
-#[test]
-fn wire_rules_stay_out_of_non_wire_files() {
-    let src = include_str!("fixtures/wire/proto.rs");
-    let findings = lint_source("crates/core/src/fixture.rs", src);
-    assert!(
-        lines_for(&findings, "wire-drift").is_empty(),
-        "wire contracts only bind the protocol files: {findings:?}"
-    );
 }
 
 // ---------------------------------------------------------------------------
@@ -689,19 +448,23 @@ fn reports_are_deterministic_byte_for_byte() {
         vec![
             (
                 "crates/server/src/proto.rs".to_string(),
-                include_str!("fixtures/wire/proto.rs").to_string(),
+                include_str!("fixtures/wire_float.rs").to_string(),
             ),
             (
-                "crates/server/src/server.rs".to_string(),
-                include_str!("fixtures/wire/server.rs").to_string(),
+                "crates/server/src/routes.rs".to_string(),
+                include_str!("fixtures/xcrate/routes.rs").to_string(),
+            ),
+            (
+                "crates/core/src/store.rs".to_string(),
+                include_str!("fixtures/xcrate/store.rs").to_string(),
+            ),
+            (
+                "crates/core/src/stats.rs".to_string(),
+                include_str!("fixtures/xcrate/stats.rs").to_string(),
             ),
             (
                 "crates/core/src/plane.rs".to_string(),
-                include_str!("fixtures/cache_coherence.rs").to_string(),
-            ),
-            (
-                "crates/relation/src/store.rs".to_string(),
-                include_str!("fixtures/arc_accounting.rs").to_string(),
+                include_str!("fixtures/ordered_iter.rs").to_string(),
             ),
         ]
     };
@@ -724,61 +487,6 @@ fn reports_are_deterministic_byte_for_byte() {
     assert_eq!(
         keys, sorted,
         "findings must be sorted by (path, line, rule)"
-    );
-}
-
-#[test]
-fn changed_only_restricts_reporting_not_analysis() {
-    let mut report = lint_sources(vec![
-        (
-            "crates/server/src/proto.rs".to_string(),
-            include_str!("fixtures/wire/proto.rs").to_string(),
-        ),
-        (
-            "crates/server/src/server.rs".to_string(),
-            include_str!("fixtures/wire/server.rs").to_string(),
-        ),
-    ]);
-    let all = report.findings.len();
-    assert!(all >= 4, "{:?}", report.findings);
-    // Restricting to server.rs keeps the dispatch-gap and error-code
-    // findings — including the dispatch gap *caused* by proto.rs's op
-    // table, because the whole workspace was analyzed first.
-    charles_lint::retain_changed_only(&mut report, "server.rs");
-    assert!(
-        !report.findings.is_empty() && report.findings.len() < all,
-        "{:?}",
-        report.findings
-    );
-    assert!(
-        report
-            .findings
-            .iter()
-            .all(|f| f.path.ends_with("server.rs")),
-        "{:?}",
-        report.findings
-    );
-    assert!(
-        report
-            .findings
-            .iter()
-            .any(|f| f.message.contains("`dispatch` has no `Request::Halt` arm")),
-        "cross-file consequence must survive the filter: {:?}",
-        report.findings
-    );
-    // Exact relative paths and comma-separated lists match too.
-    let mut again = lint_sources(vec![(
-        "crates/server/src/proto.rs".to_string(),
-        include_str!("fixtures/wire/proto.rs").to_string(),
-    )]);
-    charles_lint::retain_changed_only(&mut again, "crates/server/src/proto.rs,unrelated.rs");
-    assert!(
-        again
-            .findings
-            .iter()
-            .all(|f| f.path == "crates/server/src/proto.rs"),
-        "{:?}",
-        again.findings
     );
 }
 

@@ -116,11 +116,28 @@ pub fn read_request(stream: &mut impl BufRead) -> Result<HttpRequest, ReadError>
             "transfer encodings not supported".into(),
         ));
     }
-    if let Some(len) = request.header("content-length") {
-        let len: usize = len
-            .trim()
-            .parse()
-            .map_err(|_| ReadError::Malformed(400, "bad Content-Length".into()))?;
+    // Every Content-Length field must be `1*DIGIT` (`usize::parse` alone
+    // would take `+5`), and repeated fields must agree: framing by the
+    // first of two conflicting values is the same smuggling class as
+    // CL + TE (RFC 9112 §6.3 requires a 400).
+    let mut content_length: Option<usize> = None;
+    for (name, value) in &request.headers {
+        if !name.eq_ignore_ascii_case("content-length") {
+            continue;
+        }
+        let len = Some(value)
+            .filter(|v| !v.is_empty() && v.bytes().all(|b| b.is_ascii_digit()))
+            .and_then(|v| v.parse::<usize>().ok())
+            .ok_or_else(|| ReadError::Malformed(400, "bad Content-Length".into()))?;
+        if content_length.is_some_and(|prev| prev != len) {
+            return Err(ReadError::Malformed(
+                400,
+                "conflicting Content-Length values".into(),
+            ));
+        }
+        content_length = Some(len);
+    }
+    if let Some(len) = content_length {
         if len > MAX_BODY_BYTES {
             return Err(ReadError::Malformed(413, "body too large".into()));
         }
@@ -264,6 +281,31 @@ mod tests {
                 other => panic!("{text:?}: expected Malformed, got {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn conflicting_content_lengths_rejected() {
+        let text = "POST / HTTP/1.1\r\nContent-Length: 5\r\nContent-Length: 7\r\n\r\nhello, world";
+        assert!(
+            matches!(parse(text), Err(ReadError::Malformed(400, _))),
+            "framing by the first of two values desyncs keep-alive parsing"
+        );
+        // Repeats of one value frame the same body either way.
+        let text = "POST / HTTP/1.1\r\nContent-Length: 5\r\ncontent-length: 5\r\n\r\nhello";
+        assert_eq!(parse(text).unwrap().body, b"hello");
+    }
+
+    #[test]
+    fn content_length_must_be_digits_only() {
+        for value in ["+5", "-0", " ", "5 5", "5,5", "0x5", "\u{0665}"] {
+            let text = format!("POST / HTTP/1.1\r\nContent-Length: {value}\r\n\r\nhello");
+            assert!(
+                matches!(parse(&text), Err(ReadError::Malformed(400, _))),
+                "{value:?}"
+            );
+        }
+        let text = "POST / HTTP/1.1\r\nContent-Length: 005\r\n\r\nhello";
+        assert_eq!(parse(text).unwrap().body, b"hello");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! - [`proto`] — the versioned wire protocol: [`proto::Request`]
 //!   envelopes, serializable result views ([`proto::WireQueryResult`],
 //!   [`proto::RankedSummary`], [`proto::WireDatasetStats`]), and typed
-//!   [`proto::ErrorEnvelope`]s;
+//!   [`proto::ErrorEnvelope`]s whose codes are [`proto::ErrorCode`]s;
 //! - [`server`] — the front end: bounded worker pool, REST-style routes
 //!   plus `/v1/rpc`, backpressure via `503`, graceful shutdown.
 //!
@@ -43,7 +43,7 @@ pub mod server;
 pub use client::{http_request, HttpClient, HttpResponse};
 pub use json::{Json, JsonError};
 pub use proto::{
-    ErrorEnvelope, ProtoError, RankedSummary, Request, WireDatasetStats, WireQuery,
+    ErrorCode, ErrorEnvelope, ProtoError, RankedSummary, Request, WireDatasetStats, WireQuery,
     WireQueryResult, PROTOCOL_VERSION,
 };
 pub use server::{dispatch, Server, ServerConfig};

@@ -8,9 +8,12 @@
 //! documents ([`WireQueryResult`], [`WireDatasetStats`], …); failures are
 //! [`ErrorEnvelope`]s with a stable machine-readable `code`.
 //!
-//! Encode→decode is identity for every type here (pinned by the proptest
-//! suite in `tests/proto_roundtrip.rs`), including floats, unicode
-//! attribute names, and strings needing escapes.
+//! The protocol is defined once, in types: the op table ([`Request::OPS`])
+//! gives every [`Request`] variant its tag and its decoder, and
+//! [`ErrorCode`] is the closed set of error codes. Encode→decode is
+//! identity for every type here (pinned by the proptest suite in
+//! `tests/proto_roundtrip.rs`), including floats, unicode attribute
+//! names, and strings needing escapes.
 
 use crate::json::{Json, JsonError};
 use charles_core::{CharlesError, DatasetStats, Query, QueryError, QueryResult, SessionStats};
@@ -92,6 +95,16 @@ fn opt_str_arr(obj: &Json, key: &str) -> Decode<Option<Vec<String>>> {
             .transpose()?
             .map(Some)
             .ok_or_else(|| ProtoError::new(format!("field {key:?} must be an array"))),
+    }
+}
+
+fn opt_str(obj: &Json, key: &str) -> Decode<Option<String>> {
+    match obj.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => v
+            .as_str()
+            .map(|s| Some(s.to_string()))
+            .ok_or_else(|| ProtoError::new(format!("field {key:?} must be a string"))),
     }
 }
 
@@ -469,19 +482,77 @@ pub enum Request {
     },
 }
 
-impl Request {
-    /// The operation tag carried on the wire.
-    pub fn op(&self) -> &'static str {
-        match self {
-            Request::RunQuery { .. } => "run_query",
-            Request::RunMulti { .. } => "run_multi",
-            Request::SweepAlpha { .. } => "sweep_alpha",
-            Request::ListTargets { .. } => "list_targets",
-            Request::Stats { .. } => "stats",
-            Request::LoadCsv { .. } => "load_csv",
-        }
-    }
+/// Defines the op table: each [`Request`] variant with its wire tag and
+/// its decoder, listed once. [`Request::op`] and [`Request::from_json`]
+/// both expand from it, so a variant without a tag or a decode path does
+/// not compile.
+macro_rules! ops {
+    ($($variant:ident => $tag:literal, $decode:expr;)*) => {
+        impl Request {
+            /// Every operation tag, in table order.
+            pub const OPS: &'static [&'static str] = &[$($tag,)*];
 
+            /// The operation tag carried on the wire.
+            pub fn op(&self) -> &'static str {
+                match self {
+                    $(Request::$variant { .. } => $tag,)*
+                }
+            }
+
+            /// Decode the fields of the op tagged `op`.
+            fn decode_op(op: &str, value: &Json) -> Decode<Request> {
+                let decode: fn(&Json) -> Decode<Request> = match op {
+                    $($tag => $decode,)*
+                    other => return Err(ProtoError::new(format!("unknown op {other:?}"))),
+                };
+                decode(value)
+            }
+        }
+    };
+}
+
+ops! {
+    RunQuery => "run_query", |v| Ok(Request::RunQuery {
+        dataset: need_str(v, "dataset")?,
+        query: WireQuery::from_json(need(v, "query")?)?,
+    });
+    RunMulti => "run_multi", |v| Ok(Request::RunMulti {
+        dataset: need_str(v, "dataset")?,
+        queries: need(v, "queries")?
+            .as_arr()
+            .ok_or_else(|| ProtoError::new("field \"queries\" must be an array"))?
+            .iter()
+            .map(WireQuery::from_json)
+            .collect::<Decode<Vec<_>>>()?,
+    });
+    SweepAlpha => "sweep_alpha", |v| Ok(Request::SweepAlpha {
+        dataset: need_str(v, "dataset")?,
+        query: WireQuery::from_json(need(v, "query")?)?,
+        alphas: need(v, "alphas")?
+            .as_arr()
+            .ok_or_else(|| ProtoError::new("field \"alphas\" must be an array"))?
+            .iter()
+            .map(|a| {
+                a.as_f64()
+                    .ok_or_else(|| ProtoError::new("field \"alphas\" must hold numbers"))
+            })
+            .collect::<Decode<Vec<_>>>()?,
+    });
+    ListTargets => "list_targets", |v| Ok(Request::ListTargets {
+        dataset: need_str(v, "dataset")?,
+    });
+    Stats => "stats", |v| Ok(Request::Stats {
+        dataset: opt_str(v, "dataset")?,
+    });
+    LoadCsv => "load_csv", |v| Ok(Request::LoadCsv {
+        dataset: need_str(v, "dataset")?,
+        source_csv: need_str(v, "source_csv")?,
+        target_csv: need_str(v, "target_csv")?,
+        key: opt_str(v, "key")?,
+    });
+}
+
+impl Request {
     /// Encode as a versioned JSON envelope.
     pub fn to_json(&self) -> Json {
         let mut pairs = vec![
@@ -544,80 +615,77 @@ impl Request {
                 "unsupported protocol version {v} (this server speaks {PROTOCOL_VERSION})"
             )));
         }
-        let op = need_str(value, "op")?;
-        match op.as_str() {
-            "run_query" => Ok(Request::RunQuery {
-                dataset: need_str(value, "dataset")?,
-                query: WireQuery::from_json(need(value, "query")?)?,
-            }),
-            "run_multi" => Ok(Request::RunMulti {
-                dataset: need_str(value, "dataset")?,
-                queries: need(value, "queries")?
-                    .as_arr()
-                    .ok_or_else(|| ProtoError::new("field \"queries\" must be an array"))?
-                    .iter()
-                    .map(WireQuery::from_json)
-                    .collect::<Decode<Vec<_>>>()?,
-            }),
-            "sweep_alpha" => Ok(Request::SweepAlpha {
-                dataset: need_str(value, "dataset")?,
-                query: WireQuery::from_json(need(value, "query")?)?,
-                alphas: need(value, "alphas")?
-                    .as_arr()
-                    .ok_or_else(|| ProtoError::new("field \"alphas\" must be an array"))?
-                    .iter()
-                    .map(|a| {
-                        a.as_f64()
-                            .ok_or_else(|| ProtoError::new("field \"alphas\" must hold numbers"))
-                    })
-                    .collect::<Decode<Vec<_>>>()?,
-            }),
-            "list_targets" => Ok(Request::ListTargets {
-                dataset: need_str(value, "dataset")?,
-            }),
-            "stats" => {
-                Ok(Request::Stats {
-                    dataset: match value.get("dataset") {
-                        None | Some(Json::Null) => None,
-                        Some(d) => Some(d.as_str().map(str::to_string).ok_or_else(|| {
-                            ProtoError::new("field \"dataset\" must be a string")
-                        })?),
-                    },
-                })
-            }
-            "load_csv" => Ok(Request::LoadCsv {
-                dataset: need_str(value, "dataset")?,
-                source_csv: need_str(value, "source_csv")?,
-                target_csv: need_str(value, "target_csv")?,
-                key: match value.get("key") {
-                    None | Some(Json::Null) => None,
-                    Some(k) => Some(
-                        k.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| ProtoError::new("field \"key\" must be a string"))?,
-                    ),
-                },
-            }),
-            other => Err(ProtoError::new(format!("unknown op {other:?}"))),
-        }
+        Request::decode_op(&need_str(value, "op")?, value)
     }
+}
+
+/// Defines [`ErrorCode`] from one `Variant => "wire_code"` list, so the
+/// enum, [`ErrorCode::ALL`] and [`ErrorCode::as_str`] cannot disagree.
+macro_rules! error_codes {
+    ($($(#[doc = $doc:literal])* $variant:ident => $code:literal,)*) => {
+        /// The closed set of machine-readable codes an [`ErrorEnvelope`]
+        /// carries.
+        #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+        pub enum ErrorCode {
+            $($(#[doc = $doc])* $variant,)*
+        }
+
+        impl ErrorCode {
+            /// Every code, in declaration order.
+            pub const ALL: &'static [ErrorCode] = &[$(ErrorCode::$variant,)*];
+
+            /// The code's wire spelling.
+            pub fn as_str(self) -> &'static str {
+                match self {
+                    $(ErrorCode::$variant => $code,)*
+                }
+            }
+        }
+    };
+}
+
+error_codes! {
+    /// The named dataset is not registered.
+    UnknownDataset => "unknown_dataset",
+    /// The query's target attribute does not exist.
+    UnknownTarget => "unknown_target",
+    /// The query is not valid for the dataset.
+    BadQuery => "bad_query",
+    /// An engine configuration value is invalid.
+    BadConfig => "bad_config",
+    /// No candidate produced a summary.
+    NoCandidates => "no_candidates",
+    /// The dataset's data could not be read or aligned.
+    BadData => "bad_data",
+    /// An engine failure that is not the client's doing.
+    Internal => "internal",
+    /// The request could not be framed, routed or decoded.
+    BadRequest => "bad_request",
+    /// The server is at capacity; retry later.
+    Overloaded => "overloaded",
+    /// The dataset is registered but could not be opened.
+    DatasetUnavailable => "dataset_unavailable",
+    /// The route exists but not for this method.
+    MethodNotAllowed => "method_not_allowed",
+    /// No route matches the path.
+    NotFound => "not_found",
 }
 
 /// A typed error response: a stable machine-readable `code` plus a human
 /// message, wrapped as `{"error": {...}}` on the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ErrorEnvelope {
-    /// Stable error code (e.g. `"unknown_dataset"`, `"bad_query"`).
-    pub code: String,
+    /// Stable error code.
+    pub code: ErrorCode,
     /// Human-readable detail.
     pub message: String,
 }
 
 impl ErrorEnvelope {
     /// Build an envelope.
-    pub fn new(code: impl Into<String>, message: impl Into<String>) -> Self {
+    pub fn new(code: ErrorCode, message: impl Into<String>) -> Self {
         ErrorEnvelope {
-            code: code.into(),
+            code,
             message: message.into(),
         }
     }
@@ -625,14 +693,16 @@ impl ErrorEnvelope {
     /// Map an engine error to `(HTTP status, envelope)`.
     pub fn from_charles(e: &CharlesError) -> (u16, ErrorEnvelope) {
         let (status, code) = match e {
-            CharlesError::UnknownDataset(_) => (404, "unknown_dataset"),
-            CharlesError::Query(QueryError::UnknownTarget { .. }) => (404, "unknown_target"),
-            CharlesError::Query(_) => (400, "bad_query"),
-            CharlesError::BadConfig(_) => (400, "bad_config"),
-            CharlesError::BadTargetAttribute(_) => (400, "bad_query"),
-            CharlesError::NoCandidates(_) => (422, "no_candidates"),
-            CharlesError::Relation(_) => (400, "bad_data"),
-            CharlesError::Numerics(_) | CharlesError::Cluster(_) => (500, "internal"),
+            CharlesError::UnknownDataset(_) => (404, ErrorCode::UnknownDataset),
+            CharlesError::Query(QueryError::UnknownTarget { .. }) => {
+                (404, ErrorCode::UnknownTarget)
+            }
+            CharlesError::Query(_) => (400, ErrorCode::BadQuery),
+            CharlesError::BadConfig(_) => (400, ErrorCode::BadConfig),
+            CharlesError::BadTargetAttribute(_) => (400, ErrorCode::BadQuery),
+            CharlesError::NoCandidates(_) => (422, ErrorCode::NoCandidates),
+            CharlesError::Relation(_) => (400, ErrorCode::BadData),
+            CharlesError::Numerics(_) | CharlesError::Cluster(_) => (500, ErrorCode::Internal),
         };
         (status, ErrorEnvelope::new(code, e.to_string()))
     }
@@ -642,17 +712,22 @@ impl ErrorEnvelope {
         Json::obj([(
             "error",
             Json::obj([
-                ("code", Json::str(&self.code)),
+                ("code", Json::str(self.code.as_str())),
                 ("message", Json::str(&self.message)),
             ]),
         )])
     }
 
-    /// Decode from the wire document.
+    /// Decode from the wire document; rejects codes outside [`ErrorCode`].
     pub fn from_json(value: &Json) -> Decode<Self> {
         let inner = need(value, "error")?;
+        let code = need_str(inner, "code")?;
         Ok(ErrorEnvelope {
-            code: need_str(inner, "code")?,
+            code: ErrorCode::ALL
+                .iter()
+                .copied()
+                .find(|c| c.as_str() == code)
+                .ok_or_else(|| ProtoError::new(format!("unknown error code {code:?}")))?,
             message: need_str(inner, "message")?,
         })
     }
@@ -727,7 +802,7 @@ mod tests {
         let (status, envelope) =
             ErrorEnvelope::from_charles(&CharlesError::UnknownDataset("x".into()));
         assert_eq!(status, 404);
-        assert_eq!(envelope.code, "unknown_dataset");
+        assert_eq!(envelope.code, ErrorCode::UnknownDataset);
         let reparsed =
             ErrorEnvelope::from_json(&Json::parse(&envelope.to_json().encode()).unwrap()).unwrap();
         assert_eq!(reparsed, envelope);
@@ -735,11 +810,11 @@ mod tests {
         let (status, envelope) = ErrorEnvelope::from_charles(&CharlesError::Query(
             charles_core::QueryError::EmptyTransformShortlist,
         ));
-        assert_eq!((status, envelope.code.as_str()), (400, "bad_query"));
+        assert_eq!((status, envelope.code), (400, ErrorCode::BadQuery));
         let (status, envelope) = ErrorEnvelope::from_charles(&CharlesError::Query(
             charles_core::QueryError::UnknownTarget { name: "x".into() },
         ));
-        assert_eq!((status, envelope.code.as_str()), (404, "unknown_target"));
+        assert_eq!((status, envelope.code), (404, ErrorCode::UnknownTarget));
     }
 
     #[test]

@@ -29,7 +29,8 @@
 use crate::http::{read_request, write_response, HttpRequest, ReadError};
 use crate::json::Json;
 use crate::proto::{
-    ErrorEnvelope, Request, WireDatasetStats, WireQuery, WireQueryResult, PROTOCOL_VERSION,
+    ErrorCode, ErrorEnvelope, Request, WireDatasetStats, WireQuery, WireQueryResult,
+    PROTOCOL_VERSION,
 };
 use charles_core::{CharlesError, SessionManager};
 use std::collections::VecDeque;
@@ -217,7 +218,8 @@ fn accept_loop(listener: &TcpListener, shared: &Shared) {
             // the accept thread, so it is hard-capped in both time and
             // bytes — a trickling client must not block new accepts.
             let mut stream = stream;
-            let envelope = ErrorEnvelope::new("overloaded", "server at capacity, retry later");
+            let envelope =
+                ErrorEnvelope::new(ErrorCode::Overloaded, "server at capacity, retry later");
             let _ = write_response(&mut stream, 503, &envelope.to_json().encode(), false);
             let _ = stream.shutdown(std::net::Shutdown::Write);
             let _ = stream.set_read_timeout(Some(std::time::Duration::from_millis(100)));
@@ -286,7 +288,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
             Err(ReadError::Eof) => return,
             Err(ReadError::Io(_)) => return,
             Err(ReadError::Malformed(status, message)) => {
-                let envelope = ErrorEnvelope::new("bad_request", message);
+                let envelope = ErrorEnvelope::new(ErrorCode::BadRequest, message);
                 let _ =
                     write_response(&mut write_half, status, &envelope.to_json().encode(), false);
                 return;
@@ -306,7 +308,7 @@ fn route(manager: &SessionManager, request: &HttpRequest) -> (u16, Json) {
 type RouteResult = Result<Json, (u16, ErrorEnvelope)>;
 
 fn bad_request(message: impl Into<String>) -> (u16, ErrorEnvelope) {
-    (400, ErrorEnvelope::new("bad_request", message))
+    (400, ErrorEnvelope::new(ErrorCode::BadRequest, message))
 }
 
 /// Decode `%XX` escapes in one path segment (no `+`→space: that is
@@ -389,7 +391,10 @@ fn route_inner(manager: &SessionManager, request: &HttpRequest) -> RouteResult {
             } else {
                 Err((
                     404,
-                    ErrorEnvelope::new("unknown_dataset", format!("{name:?} is not registered")),
+                    ErrorEnvelope::new(
+                        ErrorCode::UnknownDataset,
+                        format!("{name:?} is not registered"),
+                    ),
                 ))
             }
         }
@@ -464,7 +469,10 @@ fn route_inner(manager: &SessionManager, request: &HttpRequest) -> RouteResult {
             if !manager.contains(name) {
                 return Err((
                     404,
-                    ErrorEnvelope::new("unknown_dataset", format!("{name:?} is not registered")),
+                    ErrorEnvelope::new(
+                        ErrorCode::UnknownDataset,
+                        format!("{name:?} is not registered"),
+                    ),
                 ));
             }
             let evicted = manager.evict(name);
@@ -490,14 +498,14 @@ fn route_inner(manager: &SessionManager, request: &HttpRequest) -> RouteResult {
                 Err((
                     405,
                     ErrorEnvelope::new(
-                        "method_not_allowed",
+                        ErrorCode::MethodNotAllowed,
                         format!("{method} not allowed on {path:?}"),
                     ),
                 ))
             } else {
                 Err((
                     404,
-                    ErrorEnvelope::new("not_found", format!("no route for {path:?}")),
+                    ErrorEnvelope::new(ErrorCode::NotFound, format!("no route for {path:?}")),
                 ))
             }
         }
@@ -514,7 +522,7 @@ pub fn dispatch(manager: &SessionManager, request: &Request) -> RouteResult {
     let open_err = |e: CharlesError| match e {
         CharlesError::Relation(_) => (
             503,
-            ErrorEnvelope::new("dataset_unavailable", e.to_string()),
+            ErrorEnvelope::new(ErrorCode::DatasetUnavailable, e.to_string()),
         ),
         _ => ErrorEnvelope::from_charles(&e),
     };

@@ -4,7 +4,8 @@
 
 use charles_core::DatasetStats;
 use charles_server::{
-    ErrorEnvelope, Json, RankedSummary, Request, WireDatasetStats, WireQuery, WireQueryResult,
+    ErrorCode, ErrorEnvelope, Json, RankedSummary, Request, WireDatasetStats, WireQuery,
+    WireQueryResult,
 };
 use proptest::prelude::*;
 
@@ -152,6 +153,75 @@ fn request_strategy() -> BoxedStrategy<Request> {
     .boxed()
 }
 
+fn error_code_strategy() -> BoxedStrategy<ErrorCode> {
+    (0..ErrorCode::ALL.len())
+        .prop_map(|i| ErrorCode::ALL[i])
+        .boxed()
+}
+
+/// One request of every op in the table, with every optional field set.
+fn one_of_each_op() -> Vec<Request> {
+    let query = WireQuery {
+        target: "base_salary".into(),
+        alpha: Some(0.7),
+        condition_attrs: Some(vec!["department".into()]),
+        transform_attrs: Some(vec!["base_salary".into()]),
+        top_k: Some(5),
+    };
+    vec![
+        Request::RunQuery {
+            dataset: "county".into(),
+            query: query.clone(),
+        },
+        Request::RunMulti {
+            dataset: "county".into(),
+            queries: vec![query.clone(), WireQuery::new("overtime_pay")],
+        },
+        Request::SweepAlpha {
+            dataset: "county".into(),
+            query,
+            alphas: vec![0.0, 0.25, 1.0],
+        },
+        Request::ListTargets {
+            dataset: "county".into(),
+        },
+        Request::Stats {
+            dataset: Some("county".into()),
+        },
+        Request::LoadCsv {
+            dataset: "payroll".into(),
+            source_csv: "name,pay\nAnne,1000\n".into(),
+            target_csv: "name,pay\nAnne,1100\n".into(),
+            key: Some("name".into()),
+        },
+    ]
+}
+
+#[test]
+fn every_op_and_error_code_roundtrips() {
+    let requests = one_of_each_op();
+    let ops: Vec<&str> = requests.iter().map(Request::op).collect();
+    assert_eq!(ops, Request::OPS, "one sample per op, in table order");
+    for request in requests {
+        let encoded = request.to_json().encode();
+        let decoded = Request::from_json(&Json::parse(&encoded).expect("valid JSON"));
+        assert_eq!(decoded.as_ref(), Ok(&request), "{encoded}");
+    }
+    let mut spellings: Vec<&str> = ErrorCode::ALL.iter().map(|c| c.as_str()).collect();
+    spellings.sort_unstable();
+    spellings.dedup();
+    assert_eq!(spellings.len(), ErrorCode::ALL.len(), "codes are distinct");
+    for &code in ErrorCode::ALL {
+        let envelope = ErrorEnvelope::new(code, "detail");
+        let encoded = envelope.to_json().encode();
+        assert!(encoded.contains(code.as_str()), "{encoded}");
+        let decoded = ErrorEnvelope::from_json(&Json::parse(&encoded).expect("valid JSON"));
+        assert_eq!(decoded, Ok(envelope), "{encoded}");
+    }
+    let unknown = Json::parse(r#"{"error":{"code":"bad_reqest","message":"m"}}"#).unwrap();
+    assert!(ErrorEnvelope::from_json(&unknown).is_err());
+}
+
 #[test]
 fn legacy_stats_with_sealed_key_decode() {
     // Servers that still had a compressed column layout wrote a
@@ -215,7 +285,7 @@ proptest! {
     }
 
     #[test]
-    fn error_envelopes_roundtrip(code in name_strategy(), message in name_strategy()) {
+    fn error_envelopes_roundtrip(code in error_code_strategy(), message in name_strategy()) {
         let envelope = ErrorEnvelope::new(code, message);
         let decoded = ErrorEnvelope::from_json(
             &Json::parse(&envelope.to_json().encode()).expect("valid JSON"),

@@ -167,7 +167,7 @@ fn retired_shard_ops_are_unknown_and_the_server_keeps_serving() {
     assert_eq!(response.status, 400, "{}", response.body);
     let envelope =
         charles_server::ErrorEnvelope::from_json(&Json::parse(&response.body).unwrap()).unwrap();
-    assert_eq!(envelope.code, "bad_request");
+    assert_eq!(envelope.code, charles_server::ErrorCode::BadRequest);
     assert_eq!(
         envelope.message,
         r#"protocol error: unknown op "shard_gram""#

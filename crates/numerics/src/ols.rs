@@ -809,6 +809,42 @@ mod tests {
     }
 
     #[test]
+    fn validation_errors_keep_their_order() {
+        // Inputs that trip several checks at once report the first check
+        // in the fixed order: ragged columns, then too few rows, then a
+        // non-finite value.
+        let dim = |cols: &[&[f64]], y: &[f64]| {
+            matches!(
+                fit_ols_cols(cols, y).unwrap_err(),
+                NumericsError::DimensionMismatch { .. }
+            )
+        };
+        assert!(dim(&[&[1.0, 2.0]], &[1.0]), "ragged + too few rows");
+        assert!(dim(&[&[f64::NAN, 1.0, 2.0]], &[1.0, 2.0]), "ragged + NaN");
+        assert!(
+            dim(&[&[1.0, 2.0], &[1.0]], &[1.0, 2.0]),
+            "second column ragged"
+        );
+        assert!(matches!(
+            fit_ols_cols(&[&[f64::INFINITY]], &[1.0]).unwrap_err(),
+            NumericsError::InsufficientData { needed: 2, got: 1 }
+        ));
+        assert!(matches!(
+            fit_ols_cols(&[], &[]).unwrap_err(),
+            NumericsError::InsufficientData { needed: 1, got: 0 }
+        ));
+        for (x, y) in [
+            ([1.0, f64::NAN, 3.0], [1.0, 2.0, 3.0]),
+            ([1.0, 2.0, 3.0], [1.0, 2.0, f64::NEG_INFINITY]),
+        ] {
+            assert!(matches!(
+                fit_ols_cols(&[&x], &y).unwrap_err(),
+                NumericsError::InvalidArgument(_)
+            ));
+        }
+    }
+
+    #[test]
     fn large_scale_predictors_conditioned() {
         // Salary-scale values: conditioning via column scaling must cope.
         let x: Vec<f64> = (0..100).map(|i| 100_000.0 + 1_000.0 * i as f64).collect();

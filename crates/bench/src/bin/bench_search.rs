@@ -43,9 +43,7 @@ use charles_core::search::{
     evaluate_candidate, evaluate_candidate_naive, generate_candidates, run_search, SearchContext,
 };
 use charles_core::{Charles, CharlesConfig, Query, Session};
-use charles_numerics::ols::{
-    column_moments, column_moments_scalar, gram_partial, gram_partial_scalar,
-};
+use charles_numerics::ols::{conditioning_scales, gram, gram_scalar};
 use charles_synth::county;
 use std::hint::black_box;
 use std::time::Instant;
@@ -155,11 +153,11 @@ fn main() {
     let naive_secs = median(&naive_samples);
     let speedup = median(&speedup_samples);
 
-    // Kernel microbench: the blocked statistics kernels (PR 6) against
-    // their retained scalar references, on the same e5 design the search
-    // evaluates (d = 3: intercept + base_salary + overtime_pay). Each
-    // kernel runs enough repetitions to amortize timer noise; black_box
-    // keeps the optimizer from hoisting the work out of the loop.
+    // Kernel microbench: the blocked Gram kernel against its retained
+    // scalar reference, on the same e5 design the search evaluates
+    // (d = 3: intercept + base_salary + overtime_pay). Each kernel runs
+    // enough repetitions to amortize timer noise; black_box keeps the
+    // optimizer from hoisting the work out of the loop.
     let kviews: Vec<charles_relation::NumericView> = tran_names
         .iter()
         .map(|a| {
@@ -178,10 +176,7 @@ fn main() {
         .numeric_view(target)
         .expect("numeric view");
     let ky = ky_view.as_slice();
-    let kscales = column_moments(&kcols, ky)
-        .expect("moments")
-        .validated_scales(kcols.len())
-        .expect("scales");
+    let kscales = conditioning_scales(&kcols, ky).expect("scales");
     let reps = (2_000_000 / rows.max(1)).max(10);
     let time_reps = |f: &dyn Fn()| -> f64 {
         f(); // warm-up
@@ -192,31 +187,16 @@ fn main() {
         started.elapsed().as_secs_f64()
     };
     let gram_kernel_secs = time_reps(&|| {
-        black_box(gram_partial(black_box(&kcols), black_box(ky), &kscales, 0));
+        black_box(gram(black_box(&kcols), black_box(ky), &kscales));
     });
     let gram_scalar_secs = time_reps(&|| {
-        black_box(gram_partial_scalar(
-            black_box(&kcols),
-            black_box(ky),
-            &kscales,
-            0,
-        ));
+        black_box(gram_scalar(black_box(&kcols), black_box(ky), &kscales));
     });
-    let moments_kernel_secs = time_reps(&|| {
-        black_box(column_moments(black_box(&kcols), black_box(ky)).expect("moments"));
-    });
-    let moments_scalar_secs = time_reps(&|| {
-        black_box(column_moments_scalar(black_box(&kcols), black_box(ky)).expect("moments"));
-    });
-    let total_rows = (rows * reps) as f64;
-    let gram_rows_per_sec = total_rows / gram_kernel_secs;
-    let moments_rows_per_sec = total_rows / moments_kernel_secs;
+    let gram_rows_per_sec = (rows * reps) as f64 / gram_kernel_secs;
     let kernel_vs_scalar_speedup = gram_scalar_secs / gram_kernel_secs.max(1e-12);
-    let moments_vs_scalar_speedup = moments_scalar_secs / moments_kernel_secs.max(1e-12);
     eprintln!(
         "kernels ({reps} reps × {rows} rows, d={}): gram {gram_rows_per_sec:.0} rows/s \
-         ({kernel_vs_scalar_speedup:.2}x vs scalar), moments {moments_rows_per_sec:.0} rows/s \
-         ({moments_vs_scalar_speedup:.2}x vs scalar)",
+         ({kernel_vs_scalar_speedup:.2}x vs scalar)",
         kcols.len() + 1,
     );
 
@@ -302,7 +282,7 @@ fn main() {
     let shared_tput = n_cands / shared_secs;
     let naive_tput = n_cands / naive_secs;
     let json = format!(
-        "{{\n  \"workload\": \"e5_county_scalability\",\n  \"rows\": {rows},\n  \"candidates\": {},\n  \"summaries_produced\": {produced},\n  \"naive_seconds\": {naive_secs:.4},\n  \"shared_seconds\": {shared_secs:.4},\n  \"naive_candidates_per_sec\": {naive_tput:.2},\n  \"shared_candidates_per_sec\": {shared_tput:.2},\n  \"speedup\": {speedup:.2},\n  \"naive_seconds_samples\": {},\n  \"shared_seconds_samples\": {},\n  \"speedup_samples\": {},\n  \"gram_rows_per_sec\": {gram_rows_per_sec:.0},\n  \"moments_rows_per_sec\": {moments_rows_per_sec:.0},\n  \"kernel_vs_scalar_speedup\": {kernel_vs_scalar_speedup:.2},\n  \"moments_vs_scalar_speedup\": {moments_vs_scalar_speedup:.2},\n  \"parallel_search_seconds\": {parallel_secs:.4},\n  \"parallel_threads\": {},\n  \"ranked_summaries\": {},\n  \"distinct_summaries\": {},\n  \"session_cold_seconds\": {session_cold_secs:.4},\n  \"session_warm_seconds\": {session_warm_secs:.6},\n  \"session_warm_speedup\": {session_warm_speedup:.2},\n  \"default_shortlist_seconds\": {shortlist_secs:.4},\n  \"default_shortlist_candidates\": {shortlist_candidates}\n}}\n",
+        "{{\n  \"workload\": \"e5_county_scalability\",\n  \"rows\": {rows},\n  \"candidates\": {},\n  \"summaries_produced\": {produced},\n  \"naive_seconds\": {naive_secs:.4},\n  \"shared_seconds\": {shared_secs:.4},\n  \"naive_candidates_per_sec\": {naive_tput:.2},\n  \"shared_candidates_per_sec\": {shared_tput:.2},\n  \"speedup\": {speedup:.2},\n  \"naive_seconds_samples\": {},\n  \"shared_seconds_samples\": {},\n  \"speedup_samples\": {},\n  \"gram_rows_per_sec\": {gram_rows_per_sec:.0},\n  \"kernel_vs_scalar_speedup\": {kernel_vs_scalar_speedup:.2},\n  \"parallel_search_seconds\": {parallel_secs:.4},\n  \"parallel_threads\": {},\n  \"ranked_summaries\": {},\n  \"distinct_summaries\": {},\n  \"session_cold_seconds\": {session_cold_secs:.4},\n  \"session_warm_seconds\": {session_warm_secs:.6},\n  \"session_warm_speedup\": {session_warm_speedup:.2},\n  \"default_shortlist_seconds\": {shortlist_secs:.4},\n  \"default_shortlist_candidates\": {shortlist_candidates}\n}}\n",
         candidates.len(),
         json_array(&naive_samples, 4),
         json_array(&shared_samples, 4),

@@ -77,8 +77,6 @@ pub struct CharlesConfig {
     pub change_tolerance: f64,
     /// Worker threads for the candidate search (`0` = all available cores).
     pub threads: usize,
-    /// RNG seed for any randomized component (kept for reproducibility).
-    pub seed: u64,
 }
 
 impl Default for CharlesConfig {
@@ -102,7 +100,6 @@ impl Default for CharlesConfig {
             accuracy_sharpness: 10.0,
             change_tolerance: 1e-9,
             threads: 0,
-            seed: 0xC4A7,
         }
     }
 }

@@ -175,30 +175,9 @@ impl Charles {
 
     /// Numeric non-key attributes whose values actually changed between
     /// the snapshots — the candidate *targets* a user would pick in demo
-    /// step 2. Comparison runs through shared [`charles_relation::NumericView`]s
-    /// (zero-copy for null-free `Float64` columns of identity-aligned
-    /// pairs); a [`Session`] caches this as [`Session::targets`].
+    /// step 2. This is [`Session::targets`] on a session over `pair`.
     pub fn changed_numeric_attributes(pair: &SnapshotPair) -> Result<Vec<String>> {
-        let source = pair.source();
-        let mut out = Vec::new();
-        for field in source.schema().fields() {
-            let name = field.name();
-            if !field.dtype().is_numeric() || Some(name) == pair.key_attr() {
-                continue;
-            }
-            let old = match source.numeric_view(name) {
-                Ok(v) => v,
-                Err(_) => continue, // nulls: not a usable target
-            };
-            let new = match pair.target_numeric_view(name) {
-                Ok(v) => v,
-                Err(_) => continue,
-            };
-            if old.iter().zip(new.iter()).any(|(a, b)| a != b) {
-                out.push(name.to_string());
-            }
-        }
-        Ok(out)
+        Session::open(pair.clone())?.targets()
     }
 
     /// Full run: assistant, enumeration, parallel evaluation, ranking

@@ -175,7 +175,7 @@ impl<'a> ScoringContext<'a> {
                 } => {
                     // Full-coverage CTs (rows = exactly 0..n) run the dense
                     // elementwise kernels over whole column slices; partial
-                    // CTs scatter through the hoisted window slice.
+                    // CTs scatter through the hoisted column slice.
                     let full = ct.rows.len() == pred.len()
                         && ct.rows.iter().enumerate().all(|(i, &r)| r == i);
                     if full {

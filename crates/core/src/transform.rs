@@ -63,7 +63,7 @@ impl Transformation {
     /// transformations return its current (source) values.
     ///
     /// Each attribute resolves to its dense [`charles_relation::NumericView`]
-    /// **once per call**, and values read straight off the window slice —
+    /// **once per call**, and values read straight off the column slice —
     /// no per-row `get_f64` dispatch. Columns that cannot expose a view
     /// (nulls, non-numeric) fall back to the per-row path, whose
     /// null/non-numeric errors are unchanged.

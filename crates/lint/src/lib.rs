@@ -28,8 +28,6 @@
 //! - `wire-float-exactness` (`proto.rs`): every raw `Json::Num` is a
 //!   finding; floats reach the wire only through `human_f64`, the one
 //!   suppressed site (shortest-round-trip decimal, read back bit-exact).
-//! - `block-grid-literals` (everywhere): bare `128` block math must
-//!   reference `GRAM_BLOCK_ROWS`.
 //!
 //! Interprocedural passes (workspace call graph; findings carry a
 //! `call_chain`):
@@ -70,11 +68,10 @@ use graph::{LintFile, Workspace};
 use token::{num_is_float, FileTokens, Tok, TokKind};
 
 /// The enforceable rule names, as accepted by `lint:allow(...)`.
-pub const RULES: [&str; 6] = [
+pub const RULES: [&str; 5] = [
     "float-fold-order",
     "ordered-iteration",
     "wire-float-exactness",
-    "block-grid-literals",
     "no-panic-in-request-path",
     "lock-order",
 ];
@@ -560,7 +557,6 @@ fn run_rules(rel: &str, ft: &FileTokens) -> Vec<Finding> {
         if wire_in_scope {
             wire_float_rule(rel, s, &mut out);
         }
-        block_grid_rule(rel, s, &mut out);
     }
     out
 }
@@ -796,40 +792,6 @@ fn wire_float_rule(rel: &str, s: &[Tok], out: &mut Vec<Finding>) {
             });
         }
     }
-}
-
-fn block_grid_rule(rel: &str, s: &[Tok], out: &mut Vec<Finding>) {
-    if s.iter().any(|t| is_i(t, "GRAM_BLOCK_ROWS")) {
-        return;
-    }
-    for t in s {
-        if t.kind == TokKind::Num && num_is_128(&t.text) {
-            out.push(Finding {
-                rule: "block-grid-literals",
-                path: rel.to_string(),
-                line: t.line,
-                message: "bare `128` in block math; reference \
-                          `charles_numerics::ols::GRAM_BLOCK_ROWS` so the canonical \
-                          block grid has one definition"
-                    .to_string(),
-                contract: "the canonical block grid has one definition",
-                call_chain: Vec::new(),
-            });
-        }
-    }
-}
-
-/// Is this numeric literal the value 128 (any suffix, underscores ok)?
-fn num_is_128(text: &str) -> bool {
-    let digits: String = text
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '_')
-        .collect();
-    let rest = &text[digits.len()..];
-    let digits: String = digits.chars().filter(|c| *c != '_').collect();
-    digits == "128"
-        && rest.chars().all(|c| c.is_alphanumeric())
-        && !rest.starts_with(|c: char| c.is_ascii_digit())
 }
 
 // ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@
 //! and slice/array indexing. Indexing is reported only in the
 //! orchestration scope (the server crate plus `charles_core`'s
 //! `session.rs` / `manager.rs` / `executor.rs`): hot numeric kernels
-//! index on every line behind block-grid invariants the fixture-pinned
+//! index on every line behind loop-bound invariants the fixture-pinned
 //! differential suite already exercises, and burying real findings in
 //! thousands of loop-bound indexes would make the rule unenforceable.
 

@@ -29,11 +29,21 @@ fn lines_for(findings: &[Finding], rule: &str) -> Vec<u32> {
 #[test]
 fn float_fold_order_catches_fixture() {
     let src = include_str!("fixtures/float_fold.rs");
-    let findings = lint_source("crates/core/src/fixture.rs", src);
-    let lines = lines_for(&findings, "float-fold-order");
-    assert_eq!(lines.len(), 3, "sum, fold, and += loop: {findings:?}");
-    // The u64 sum at the end must not fire.
-    assert!(findings.iter().all(|f| f.rule == "float-fold-order"));
+    // The relation crate's column code is in scope like the engine's.
+    for path in [
+        "crates/core/src/fixture.rs",
+        "crates/relation/src/fixture.rs",
+    ] {
+        let findings = lint_source(path, src);
+        let lines = lines_for(&findings, "float-fold-order");
+        assert_eq!(
+            lines.len(),
+            3,
+            "{path}: sum, fold, and += loop: {findings:?}"
+        );
+        // The u64 sum at the end must not fire.
+        assert!(findings.iter().all(|f| f.rule == "float-fold-order"));
+    }
 }
 
 #[test]
@@ -82,40 +92,6 @@ fn wire_float_exactness_out_of_scope_elsewhere() {
     let src = include_str!("fixtures/wire_float.rs");
     let findings = lint_source("crates/core/src/fixture.rs", src);
     assert!(lines_for(&findings, "wire-float-exactness").is_empty());
-}
-
-#[test]
-fn block_grid_literals_catches_fixture() {
-    let src = include_str!("fixtures/block_grid.rs");
-    let findings = lint_source("crates/numerics/src/fixture.rs", src);
-    let lines = lines_for(&findings, "block-grid-literals");
-    assert_eq!(lines.len(), 1, "only the bare 128: {findings:?}");
-}
-
-#[test]
-fn compress_decode_paths_stay_in_lint_scope() {
-    // Block-decode loops in the relation crate stay covered: bare grid
-    // literals and ad-hoc float folds in decode loops must keep firing,
-    // while the GRAM_BLOCK_ROWS-referencing twin stays clean.
-    let src = include_str!("fixtures/compress_decode.rs");
-    let findings = lint_source("crates/relation/src/fixture.rs", src);
-    assert_eq!(
-        lines_for(&findings, "block-grid-literals").len(),
-        1,
-        "only the bare 128 in the bad decode: {findings:?}"
-    );
-    assert_eq!(
-        lines_for(&findings, "float-fold-order").len(),
-        1,
-        "only the ad-hoc float checksum: {findings:?}"
-    );
-    // The u64 bit-unpacking accumulator has no float signal.
-    assert!(
-        findings
-            .iter()
-            .all(|f| f.rule == "block-grid-literals" || f.rule == "float-fold-order"),
-        "{findings:?}"
-    );
 }
 
 #[test]
@@ -514,7 +490,7 @@ fn fix_suppressions_removes_stale_allows_and_keeps_used_ones() {
                xs.iter().sum()\n}\n\
                // lint:allow(float-fold-order: stale, nothing folds below)\n\
                pub fn seven() -> u64 {\n    \
-               7 // lint:allow(block-grid-literals: stale too)\n}\n";
+               7 // lint:allow(ordered-iteration: stale too)\n}\n";
     let path = "crates/core/src/fixture.rs";
     let report = lint_sources(vec![(path.to_string(), src.to_string())]);
     assert!(

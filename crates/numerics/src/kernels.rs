@@ -14,13 +14,13 @@
 //! - **Determinism.** Floating-point addition is not associative, so the
 //!   *order* of a fold is part of its result. Each kernel commits to one
 //!   canonical order (lane-strided accumulation, pairwise lane fold, tail
-//!   last) that depends only on the input slice — never on threads, row
-//!   splits, or call sites. Two calls on bit-identical slices return
-//!   bit-identical results on every backend.
+//!   last) that depends only on the input slice — never on threads or call
+//!   sites. Two calls on bit-identical slices return bit-identical results
+//!   on every backend.
 //!
-//! The OLS pipeline ([`crate::ols`]) builds its per-block Gram statistics
-//! from [`dot`] over pre-scaled column windows, which is what makes the
-//! blocked fold the *one* canonical kernel for every fit.
+//! The OLS fit ([`crate::ols`]) builds its Gram statistics from [`dot`]
+//! over pre-scaled 128-row column windows, which is what makes the blocked
+//! fold the *one* canonical kernel for every fit.
 //!
 //! Reductions that are exact regardless of order (`max`, `&&`) also use
 //! lanes ([`max_abs_finite`]) purely for speed: associativity makes any
@@ -28,8 +28,9 @@
 
 /// Number of independent accumulator lanes. Eight `f64` lanes fill one
 /// AVX-512 register, two AVX registers, or four SSE2 registers — and give
-/// scalar fallback code an 8-deep dependency break. [`crate::ols::GRAM_BLOCK_ROWS`]
-/// is a multiple of this, so full canonical blocks have no tail.
+/// scalar fallback code an 8-deep dependency break. The 128-row blocks of
+/// [`crate::ols::gram`] are a multiple of this, so full blocks have no
+/// tail.
 pub const LANES: usize = 8;
 
 /// Fold eight lane accumulators in the canonical (pairwise) order.

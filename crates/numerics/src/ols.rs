@@ -6,51 +6,34 @@
 //! partitions or collinear predictors — retries with ridge regularization,
 //! escalating λ until the system solves.
 //!
-//! ## Mergeable sufficient statistics
+//! ## One pass over the rows
 //!
-//! The fit is factored through *sufficient statistics* that can be
-//! computed over contiguous row ranges and merged with bit-identical
-//! results:
+//! [`fit_ols_cols`] validates its input and derives per-column
+//! conditioning scales ([`conditioning_scales`]: one fused
+//! [`crate::kernels::max_abs_finite`] pass per column), then builds the
+//! normal equations of the scaled design with [`gram`], solves, and
+//! unscales. [`gram`] walks the rows in fixed 128-row blocks: each block's
+//! column windows are pre-scaled once into a column-major stage, and each
+//! `XᵀX`/`Xᵀy` entry's share of the block is one [`crate::kernels::dot`]
+//! over two staged columns — [`crate::kernels::LANES`] independent partial
+//! sums folded in a fixed order, which the autovectorizer turns into packed
+//! FMAs. Block shares are added into the totals in block order, so the
+//! order of every floating-point operation depends only on the input
+//! slices, never on the caller.
 //!
-//! 1. [`column_moments`] — row count, per-column max-|x|, finiteness.
-//!    Merging ([`ColumnMoments::merge`]) uses only `max`/`+`/`&&`, which
-//!    are exact regardless of how rows were split.
-//! 2. [`gram_partial`] — `XᵀX` and `Xᵀy` of the scaled design, accumulated
-//!    per **canonical block** of [`GRAM_BLOCK_ROWS`] rows. The block grid
-//!    is anchored at absolute row 0 and independent of how rows are
-//!    split, so a range whose boundaries sit on the grid produces exactly
-//!    the block sums the whole-range pass produces. [`fit_from_parts`]
-//!    folds block sums in block order — the same floating-point
-//!    operations in the same order no matter how many ranges computed
-//!    them.
-//!
-//! [`fit_ols_cols`] is the one-range instance of this pipeline.
-//!
-//! ## Blocked kernels
-//!
-//! Since PR 6 the per-block accumulation is a cache-blocked, lane-wide
-//! kernel ([`crate::kernels`]): each canonical block's column windows are
-//! pre-scaled once into a column-major stage, and every `XᵀX`/`Xᵀy` entry
-//! is a [`crate::kernels::dot`] over two staged columns — [`crate::kernels::LANES`]
-//! independent partial sums folded in a fixed order at block end, which
-//! the autovectorizer turns into packed FMAs instead of the old scalar
-//! triangle walk. The kernel's fold order differs from the pre-PR-6
-//! scalar row walk (floating-point addition is not associative), so the
-//! blocked kernel is THE canonical accumulation everywhere: every fit
-//! calls this one function on the same canonical blocks, keeping the
-//! bit-identical merge contract true by construction. The retained [`gram_partial_scalar`] /
-//! [`column_moments_scalar`] are the pre-kernel reference used by benches
-//! and differential tests (agreement within tolerance, not bits).
+//! [`gram_scalar`] is the pre-kernel scalar row walk, kept as the reference
+//! the kernel bench and the property suite compare [`gram`] against. Its
+//! fold order differs (floating-point addition is not associative), so the
+//! two agree within rounding tolerance, not bit for bit.
 
 use crate::error::{NumericsError, Result};
 use crate::kernels;
 use crate::matrix::Matrix;
 use crate::solve::solve_cholesky;
 
-/// Rows per canonical accumulation block of the Gram statistics. Row-range
-/// boundaries must be multiples of this for bit-exact merges. A multiple
-/// of [`kernels::LANES`], so full blocks have no sub-lane tail.
-pub const GRAM_BLOCK_ROWS: usize = 128;
+/// Rows per accumulation block of [`gram`]. A multiple of
+/// [`kernels::LANES`], so full blocks have no sub-lane tail.
+const GRAM_BLOCK_ROWS: usize = 128;
 
 const _: () = assert!(GRAM_BLOCK_ROWS.is_multiple_of(kernels::LANES));
 
@@ -160,353 +143,13 @@ pub fn fit_ols(columns: &[Vec<f64>], y: &[f64]) -> Result<LinearFit> {
 /// search hot path hands borrowed column views straight in, without
 /// cloning whole columns per candidate.
 ///
-/// Internally this is the mergeable-statistics pipeline over one range:
-/// [`column_moments`] → [`gram_partial`] over the whole range →
-/// [`fit_from_parts`].
+/// Validates and scales the input ([`conditioning_scales`]), accumulates
+/// the normal equations ([`gram`]), solves them with Cholesky and the ridge
+/// ladder, unscales the coefficients, and computes residuals and R².
 pub fn fit_ols_cols(columns: &[&[f64]], y: &[f64]) -> Result<LinearFit> {
-    let moments = column_moments(columns, y)?;
-    let scales = moments.validated_scales(columns.len())?;
-    let part = gram_partial(columns, y, &scales, 0);
-    fit_from_parts(vec![part], &scales, columns, y)
-}
-
-/// Phase-A sufficient statistics of one row range: row count, per-column
-/// max-|x| (conditioning scales are derived from these), and whether every
-/// value is finite. All three merge exactly: `+` on disjoint counts, `max`
-/// (associative, commutative, 0-identity over absolute values), and `&&`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ColumnMoments {
-    /// Rows covered.
-    pub rows: usize,
-    /// Per-column maximum absolute value over the covered rows.
-    pub max_abs: Vec<f64>,
-    /// Whether every covered value (columns and y) is finite.
-    pub finite: bool,
-}
-
-impl ColumnMoments {
-    /// Merge statistics of disjoint row ranges (order-insensitive: every
-    /// combining operation here is exact).
-    pub fn merge(parts: &[ColumnMoments]) -> ColumnMoments {
-        let p = parts.first().map_or(0, |m| m.max_abs.len());
-        let mut out = ColumnMoments {
-            rows: 0,
-            max_abs: vec![0.0; p],
-            finite: true,
-        };
-        for part in parts {
-            out.rows += part.rows;
-            out.finite &= part.finite;
-            for (m, v) in out.max_abs.iter_mut().zip(part.max_abs.iter()) {
-                *m = m.max(*v);
-            }
-        }
-        out
-    }
-
-    /// Validate the merged statistics exactly as [`fit_ols_cols`] does
-    /// (enough rows, all finite) and derive the conditioning scales
-    /// (max-|x|, with 1.0 for all-zero columns).
-    pub fn validated_scales(&self, p: usize) -> Result<Vec<f64>> {
-        if self.rows < p + 1 {
-            return Err(NumericsError::InsufficientData {
-                needed: p + 1,
-                got: self.rows,
-            });
-        }
-        if !self.finite {
-            return Err(NumericsError::InvalidArgument(
-                "non-finite value in regression input".to_string(),
-            ));
-        }
-        Ok(self
-            .max_abs
-            .iter()
-            .map(|&m| if m > 0.0 { m } else { 1.0 })
-            .collect())
-    }
-}
-
-/// Compute [`ColumnMoments`] over one row range (`columns` and `y` are the
-/// range's slices). Errors on ragged column lengths.
-///
-/// Each column is read **once**: max-|x| and finiteness come out of one
-/// fused lane-accumulated pass ([`kernels::max_abs_finite`]). Because
-/// `max` and `&&` are exact under any fold order, the result is
-/// bit-identical to the retained scalar reference
-/// ([`column_moments_scalar`]) on every input.
-pub fn column_moments(columns: &[&[f64]], y: &[f64]) -> Result<ColumnMoments> {
-    let n = y.len();
-    for c in columns {
-        if c.len() != n {
-            return Err(NumericsError::DimensionMismatch {
-                expected: format!("{n} rows"),
-                found: format!("{} rows", c.len()),
-            });
-        }
-    }
-    let (_, mut finite) = kernels::max_abs_finite(y);
-    let max_abs: Vec<f64> = columns
-        .iter()
-        .map(|c| {
-            let (m, fin) = kernels::max_abs_finite(c);
-            finite &= fin;
-            m
-        })
-        .collect();
-    Ok(ColumnMoments {
-        rows: n,
-        max_abs,
-        finite,
-    })
-}
-
-/// The pre-kernel scalar reference for [`column_moments`]: separate
-/// max-fold and finiteness passes per column. Retained for the
-/// differential bench (`bench_search`'s kernel section) and the property
-/// suite; agreement with the fused kernel is **exact** (bit-identical) —
-/// both reductions are order-insensitive.
-pub fn column_moments_scalar(columns: &[&[f64]], y: &[f64]) -> Result<ColumnMoments> {
-    let n = y.len();
-    for c in columns {
-        if c.len() != n {
-            return Err(NumericsError::DimensionMismatch {
-                expected: format!("{n} rows"),
-                found: format!("{} rows", c.len()),
-            });
-        }
-    }
-    // lint:allow(float-fold-order: scalar bit-reference for kernels::column_moments; max-fold is order-insensitive)
-    let max_abs: Vec<f64> = columns
-        .iter()
-        .map(|c| c.iter().fold(0.0f64, |m, v| m.max(v.abs())))
-        .collect();
-    let finite =
-        y.iter().all(|v| v.is_finite()) && columns.iter().all(|c| c.iter().all(|v| v.is_finite()));
-    Ok(ColumnMoments {
-        rows: n,
-        max_abs,
-        finite,
-    })
-}
-
-/// One canonical block's share of the normal equations: `XᵀX` (row-major,
-/// `d × d` with `d = p + 1` for the intercept) and `Xᵀy` of the scaled
-/// design over up to [`GRAM_BLOCK_ROWS`] rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GramBlock {
-    xtx: Vec<f64>,
-    xty: Vec<f64>,
-}
-
-impl GramBlock {
-    /// Reassemble a block from its raw sums. Any rounding of the sums
-    /// before they get here would break the bit-identical merge
-    /// contract.
-    pub fn new(xtx: Vec<f64>, xty: Vec<f64>) -> Self {
-        GramBlock { xtx, xty }
-    }
-
-    /// Row-major upper-triangular `XᵀX` sums of this block.
-    pub fn xtx(&self) -> &[f64] {
-        &self.xtx
-    }
-
-    /// `Xᵀy` sums of this block.
-    pub fn xty(&self) -> &[f64] {
-        &self.xty
-    }
-}
-
-/// Phase-B sufficient statistics of one row range: its canonical blocks,
-/// tagged with the absolute index of the first one.
-#[derive(Debug, Clone, PartialEq)]
-pub struct GramPartial {
-    /// Absolute block index (`range.start / GRAM_BLOCK_ROWS`) of
-    /// `blocks[0]`.
-    pub first_block: usize,
-    blocks: Vec<GramBlock>,
-}
-
-impl GramPartial {
-    /// Reassemble a partial from deserialized blocks (see
-    /// [`GramBlock::new`]).
-    pub fn new(first_block: usize, blocks: Vec<GramBlock>) -> Self {
-        GramPartial {
-            first_block,
-            blocks,
-        }
-    }
-
-    /// The canonical blocks, in block order.
-    pub fn blocks(&self) -> &[GramBlock] {
-        &self.blocks
-    }
-}
-
-/// Accumulate the blocked Gram statistics of one row range. The range must
-/// start on the canonical grid: `first_block` is its absolute start row
-/// divided by [`GRAM_BLOCK_ROWS`]. Within each block:
-///
-/// 1. every design column's window — the intercept's ones and each
-///    predictor pre-scaled by its conditioning scale — is staged **once**
-///    into a column-major scratch (one divide per value, then the value
-///    is reused across every Gram entry that reads it);
-/// 2. each upper-triangle `XᵀX` entry and each `Xᵀy` entry is one
-///    [`kernels::dot`] over two staged windows: [`kernels::LANES`]-wide
-///    partial sums folded in a fixed order at block end.
-///
-/// The accumulation order inside a block depends only on the block's
-/// data — never on the caller — so a range whose boundaries sit on the
-/// canonical grid produces exactly the block sums the whole-range pass
-/// produces, kernel or not. ([`gram_partial_scalar`] keeps the pre-kernel
-/// row-walk order as a tolerance reference.)
-pub fn gram_partial(
-    columns: &[&[f64]],
-    y: &[f64],
-    scales: &[f64],
-    first_block: usize,
-) -> GramPartial {
-    let n = y.len();
+    let scales = conditioning_scales(columns, y)?;
+    let (mut xtx, xty) = gram(columns, y, &scales);
     let d = columns.len() + 1;
-    let mut blocks = Vec::with_capacity(n.div_ceil(GRAM_BLOCK_ROWS));
-    // Column-major block stage: window `i` of the scaled design lives at
-    // `stage[i * GRAM_BLOCK_ROWS..][..len]`. Window 0 (the intercept's
-    // ones) is written once and never overwritten — trailing rows of a
-    // short final block are simply not read.
-    let mut stage = vec![0.0f64; d * GRAM_BLOCK_ROWS];
-    stage[..GRAM_BLOCK_ROWS].fill(1.0);
-    let mut lo = 0usize;
-    while lo < n {
-        let hi = (lo + GRAM_BLOCK_ROWS).min(n);
-        let len = hi - lo;
-        let (_ones, predictors) = stage.split_at_mut(GRAM_BLOCK_ROWS);
-        for (dst, (c, &s)) in predictors
-            .chunks_exact_mut(GRAM_BLOCK_ROWS)
-            .zip(columns.iter().zip(scales.iter()))
-        {
-            kernels::scale_into(&mut dst[..len], &c[lo..hi], s);
-        }
-        let mut block = GramBlock {
-            xtx: vec![0.0; d * d],
-            xty: vec![0.0; d],
-        };
-        let yb = &y[lo..hi];
-        // Upper triangle only; mirrored once after the global fold.
-        for i in 0..d {
-            let ci = &stage[i * GRAM_BLOCK_ROWS..i * GRAM_BLOCK_ROWS + len];
-            for j in i..d {
-                let cj = &stage[j * GRAM_BLOCK_ROWS..j * GRAM_BLOCK_ROWS + len];
-                block.xtx[i * d + j] = kernels::dot(ci, cj);
-            }
-            block.xty[i] = kernels::dot(ci, yb);
-        }
-        blocks.push(block);
-        lo = hi;
-    }
-    GramPartial {
-        first_block,
-        blocks,
-    }
-}
-
-/// The pre-kernel scalar reference for [`gram_partial`]: a per-row
-/// `x_row` staging pass feeding a scalar triangle walk with zero-skip
-/// branches. Retained for the differential bench (`bench_search`'s
-/// kernel section asserts the blocked kernel's speedup over this) and
-/// for the property suite's tolerance comparison — the kernel folds each
-/// block's terms in a different (but equally fixed) order, so agreement
-/// on finite data is within rounding, not bit-exact.
-pub fn gram_partial_scalar(
-    columns: &[&[f64]],
-    y: &[f64],
-    scales: &[f64],
-    first_block: usize,
-) -> GramPartial {
-    let n = y.len();
-    let d = columns.len() + 1;
-    let mut blocks = Vec::with_capacity(n.div_ceil(GRAM_BLOCK_ROWS));
-    let mut x_row = vec![0.0f64; d];
-    let mut lo = 0usize;
-    while lo < n {
-        let hi = (lo + GRAM_BLOCK_ROWS).min(n);
-        let mut block = GramBlock {
-            xtx: vec![0.0; d * d],
-            xty: vec![0.0; d],
-        };
-        for r in lo..hi {
-            x_row[0] = 1.0;
-            for (slot, (c, &s)) in x_row[1..].iter_mut().zip(columns.iter().zip(scales.iter())) {
-                *slot = c[r] / s;
-            }
-            for i in 0..d {
-                let a = x_row[i];
-                if a == 0.0 {
-                    continue;
-                }
-                let row = &mut block.xtx[i * d..(i + 1) * d];
-                for j in i..d {
-                    // lint:allow(float-fold-order: scalar bit-reference implementation the blocked gram kernel is tested against)
-                    row[j] += a * x_row[j];
-                }
-            }
-            let yr = y[r];
-            if yr != 0.0 {
-                for (o, &a) in block.xty.iter_mut().zip(x_row.iter()) {
-                    *o += a * yr;
-                }
-            }
-        }
-        blocks.push(block);
-        lo = hi;
-    }
-    GramPartial {
-        first_block,
-        blocks,
-    }
-}
-
-/// Solve the merged normal equations and finish the fit: fold every block
-/// in absolute block order (parts are sorted here, so hand them over in any
-/// order), Cholesky with the ridge ladder, unscale the coefficients, and
-/// compute residuals/R² over the full columns.
-///
-/// `columns`/`y` are the **full** data — residual computation
-/// is elementwise, so it needs no blocking to stay exact.
-pub fn fit_from_parts(
-    mut parts: Vec<GramPartial>,
-    scales: &[f64],
-    columns: &[&[f64]],
-    y: &[f64],
-) -> Result<LinearFit> {
-    let d = columns.len() + 1;
-    parts.sort_by_key(|p| p.first_block);
-    // Merged partials must tile the block grid: each non-empty partial
-    // picks up exactly where the previous one ended. An overlap or a
-    // duplicate would silently double-count its rows in the fold below.
-    debug_assert!(
-        parts
-            .iter()
-            .filter(|p| !p.blocks.is_empty())
-            .try_fold(None::<usize>, |prev_end, p| match prev_end {
-                Some(end) if p.first_block != end => None,
-                _ => Some(Some(p.first_block + p.blocks.len())),
-            })
-            .is_some(),
-        "merged GramPartials must cover disjoint, contiguous block ranges"
-    );
-    let mut xtx = vec![0.0f64; d * d];
-    let mut xty = vec![0.0f64; d];
-    for part in &parts {
-        for block in &part.blocks {
-            for (acc, v) in xtx.iter_mut().zip(block.xtx.iter()) {
-                *acc += v;
-            }
-            for (acc, v) in xty.iter_mut().zip(block.xty.iter()) {
-                *acc += v;
-            }
-        }
-    }
     // Mirror the upper triangle.
     for i in 0..d {
         for j in 0..i {
@@ -560,6 +203,140 @@ pub fn fit_from_parts(
         r_squared: r2,
         ..fit
     })
+}
+
+/// Validate a regression input and derive its conditioning scales.
+///
+/// The checks run in a fixed order and the first failure is returned:
+/// ragged columns ([`NumericsError::DimensionMismatch`]), fewer than
+/// `p + 1` rows ([`NumericsError::InsufficientData`]), then a non-finite
+/// value in `y` or any column ([`NumericsError::InvalidArgument`]). Each
+/// scale is the column's max-|x|, or 1.0 for an all-zero column. Every
+/// column is read once, by the fused [`kernels::max_abs_finite`] pass,
+/// whose `max` fold is exact under any order.
+pub fn conditioning_scales(columns: &[&[f64]], y: &[f64]) -> Result<Vec<f64>> {
+    let n = y.len();
+    for c in columns {
+        if c.len() != n {
+            return Err(NumericsError::DimensionMismatch {
+                expected: format!("{n} rows"),
+                found: format!("{} rows", c.len()),
+            });
+        }
+    }
+    let p = columns.len();
+    if n < p + 1 {
+        return Err(NumericsError::InsufficientData {
+            needed: p + 1,
+            got: n,
+        });
+    }
+    let (_, mut finite) = kernels::max_abs_finite(y);
+    let scales: Vec<f64> = columns
+        .iter()
+        .map(|c| {
+            let (m, fin) = kernels::max_abs_finite(c);
+            finite &= fin;
+            if m > 0.0 {
+                m
+            } else {
+                1.0
+            }
+        })
+        .collect();
+    if !finite {
+        return Err(NumericsError::InvalidArgument(
+            "non-finite value in regression input".to_string(),
+        ));
+    }
+    Ok(scales)
+}
+
+/// The normal equations of the scaled design `[1 | x₁/s₁ … xₚ/sₚ]`
+/// (`d = p + 1` columns with the intercept): the row-major `d × d` upper
+/// triangle of `XᵀX` (entries below the diagonal are `0.0`) and `Xᵀy`.
+///
+/// Rows are walked in blocks of 128. Within a block:
+///
+/// 1. every design column's window — the intercept's ones and each
+///    predictor divided by its scale — is staged **once** into a
+///    column-major scratch (one divide per value, then the value is reused
+///    across every entry that reads it);
+/// 2. each upper-triangle `XᵀX` entry and each `Xᵀy` entry gets one
+///    [`kernels::dot`] over two staged windows, added straight into its
+///    total.
+///
+/// Totals start at `0.0` and take block shares in block order.
+// lint:allow(float-fold-order: block shares are added into the totals in block order, the one fixed order of every fit)
+pub fn gram(columns: &[&[f64]], y: &[f64], scales: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let n = y.len();
+    let d = columns.len() + 1;
+    let mut xtx = vec![0.0f64; d * d];
+    let mut xty = vec![0.0f64; d];
+    // Column-major block stage: window `i` of the scaled design lives at
+    // `stage[i * GRAM_BLOCK_ROWS..][..len]`. Window 0 (the intercept's
+    // ones) is written once and never overwritten — trailing rows of a
+    // short final block are simply not read.
+    let mut stage = vec![0.0f64; d * GRAM_BLOCK_ROWS];
+    stage[..GRAM_BLOCK_ROWS].fill(1.0);
+    let mut lo = 0usize;
+    while lo < n {
+        let hi = (lo + GRAM_BLOCK_ROWS).min(n);
+        let len = hi - lo;
+        let (_ones, predictors) = stage.split_at_mut(GRAM_BLOCK_ROWS);
+        for (dst, (c, &s)) in predictors
+            .chunks_exact_mut(GRAM_BLOCK_ROWS)
+            .zip(columns.iter().zip(scales.iter()))
+        {
+            kernels::scale_into(&mut dst[..len], &c[lo..hi], s);
+        }
+        let yb = &y[lo..hi];
+        for i in 0..d {
+            let ci = &stage[i * GRAM_BLOCK_ROWS..i * GRAM_BLOCK_ROWS + len];
+            for j in i..d {
+                let cj = &stage[j * GRAM_BLOCK_ROWS..j * GRAM_BLOCK_ROWS + len];
+                xtx[i * d + j] += kernels::dot(ci, cj);
+            }
+            xty[i] += kernels::dot(ci, yb);
+        }
+        lo = hi;
+    }
+    (xtx, xty)
+}
+
+/// The pre-kernel scalar reference for [`gram`]: a per-row `x_row` staging
+/// pass feeding a scalar triangle walk with zero-skip branches, same
+/// output layout. Kept for the kernel bench (`bench_search` asserts the
+/// blocked kernel's speedup over this) and the property suite's tolerance
+/// comparison — its fold order differs from the kernel's, so agreement on
+/// finite data is within rounding, not bit-exact.
+pub fn gram_scalar(columns: &[&[f64]], y: &[f64], scales: &[f64]) -> (Vec<f64>, Vec<f64>) {
+    let d = columns.len() + 1;
+    let mut xtx = vec![0.0f64; d * d];
+    let mut xty = vec![0.0f64; d];
+    let mut x_row = vec![1.0f64; d];
+    for (r, &yr) in y.iter().enumerate() {
+        for (slot, (c, &s)) in x_row[1..].iter_mut().zip(columns.iter().zip(scales.iter())) {
+            *slot = c[r] / s;
+        }
+        for i in 0..d {
+            let a = x_row[i];
+            if a == 0.0 {
+                continue;
+            }
+            let row = &mut xtx[i * d..(i + 1) * d];
+            for j in i..d {
+                // lint:allow(float-fold-order: scalar row-walk reference the blocked gram kernel is tested against)
+                row[j] += a * x_row[j];
+            }
+        }
+        if yr != 0.0 {
+            for (o, &a) in xty.iter_mut().zip(x_row.iter()) {
+                *o += a * yr;
+            }
+        }
+    }
+    (xtx, xty)
 }
 
 /// Fit a constant model `y = c` (no predictors): `c` is the mean of `y`.
@@ -700,112 +477,6 @@ mod tests {
         };
         assert_eq!(fit.mean_abs_error(), 0.0);
         assert_eq!(fit.max_abs_error(), 0.0);
-    }
-
-    /// Deterministic pseudo-random data without external crates.
-    fn lcg_data(n: usize, seed: u64) -> Vec<f64> {
-        let mut state = seed | 1;
-        (0..n)
-            .map(|_| {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                ((state >> 11) as f64 / (1u64 << 53) as f64) * 2_000.0 - 1_000.0
-            })
-            .collect()
-    }
-
-    #[test]
-    fn sharded_sufficient_statistics_are_bit_identical() {
-        // Splitting the rows at any set of block-aligned boundaries and
-        // merging the per-shard statistics must reproduce the unsharded
-        // fit to the last bit — coefficients, residuals, R², λ.
-        for n in [5usize, 127, 128, 129, 400, 1000, 4097] {
-            let x1 = lcg_data(n, 7);
-            let x2 = lcg_data(n, 99);
-            let y: Vec<f64> = x1
-                .iter()
-                .zip(x2.iter())
-                .zip(lcg_data(n, 5).iter())
-                .map(|((a, b), e)| 1.05 * a - 3.0 * b + 40.0 + 0.01 * e)
-                .collect();
-            let cols: Vec<&[f64]> = vec![&x1, &x2];
-            let central = fit_ols_cols(&cols, &y).unwrap();
-
-            for shards in [1usize, 2, 3, 7, 64] {
-                // Block-aligned boundaries: whole blocks spread near-equally.
-                let n_blocks = n.div_ceil(GRAM_BLOCK_ROWS);
-                let bounds: Vec<(usize, usize)> = (0..shards)
-                    .map(|i| {
-                        let lo = (i * n_blocks / shards) * GRAM_BLOCK_ROWS;
-                        let hi = (((i + 1) * n_blocks / shards) * GRAM_BLOCK_ROWS).min(n);
-                        (lo.min(n), hi.max(lo.min(n)))
-                    })
-                    .collect();
-                let moments: Vec<ColumnMoments> = bounds
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        let sliced: Vec<&[f64]> = cols.iter().map(|c| &c[lo..hi]).collect();
-                        column_moments(&sliced, &y[lo..hi]).unwrap()
-                    })
-                    .collect();
-                let merged = ColumnMoments::merge(&moments);
-                assert_eq!(merged.rows, n);
-                let scales = merged.validated_scales(cols.len()).unwrap();
-                let parts: Vec<GramPartial> = bounds
-                    .iter()
-                    .map(|&(lo, hi)| {
-                        let sliced: Vec<&[f64]> = cols.iter().map(|c| &c[lo..hi]).collect();
-                        gram_partial(&sliced, &y[lo..hi], &scales, lo / GRAM_BLOCK_ROWS)
-                    })
-                    .collect();
-                let sharded = fit_from_parts(parts, &scales, &cols, &y).unwrap();
-
-                assert_eq!(sharded.intercept.to_bits(), central.intercept.to_bits());
-                for (a, b) in sharded.coefficients.iter().zip(central.coefficients.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} shards={shards}");
-                }
-                for (a, b) in sharded.residuals.iter().zip(central.residuals.iter()) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "n={n} shards={shards}");
-                }
-                assert_eq!(sharded.r_squared.to_bits(), central.r_squared.to_bits());
-                assert_eq!(sharded.ridge_lambda, central.ridge_lambda);
-            }
-        }
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "disjoint, contiguous block ranges")]
-    fn overlapping_gram_partials_are_rejected() {
-        // Feeding the same shard's statistics twice would double-count
-        // its rows; fit_from_parts traps this in debug builds.
-        let x = lcg_data(256, 11);
-        let y = lcg_data(256, 13);
-        let cols: Vec<&[f64]> = vec![&x];
-        let scales = column_moments(&cols, &y)
-            .unwrap()
-            .validated_scales(1)
-            .unwrap();
-        let part = gram_partial(&cols, &y, &scales, 0);
-        let _ = fit_from_parts(vec![part.clone(), part], &scales, &cols, &y);
-    }
-
-    #[test]
-    fn merged_moments_reproduce_validation_errors() {
-        // Merged statistics must fail in exactly the cases the central
-        // path fails: too few rows, non-finite values.
-        let short = column_moments(&[&[1.0][..]], &[2.0]).unwrap();
-        assert!(matches!(
-            ColumnMoments::merge(&[short])
-                .validated_scales(1)
-                .unwrap_err(),
-            NumericsError::InsufficientData { needed: 2, got: 1 }
-        ));
-        let a = column_moments(&[&[1.0, 2.0][..]], &[1.0, 2.0]).unwrap();
-        let b = column_moments(&[&[f64::NAN][..]], &[3.0]).unwrap();
-        assert!(!b.finite);
-        assert!(ColumnMoments::merge(&[a, b]).validated_scales(1).is_err());
     }
 
     #[test]

@@ -73,4 +73,4 @@ pub use schema::{AttrId, AttrRef, Field, Schema};
 pub use table::Table;
 pub use update::{apply_updates, ApplyMode, UpdateOutcome, UpdateStatement};
 pub use value::{DataType, Value};
-pub use view::{CodeGroups, CodesView, ColumnView, NumericView, RowRange};
+pub use view::{CodeGroups, CodesView, ColumnView, NumericView};

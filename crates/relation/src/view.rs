@@ -5,12 +5,8 @@
 //! that cheap: a [`NumericView`] or [`CodesView`] is a couple of
 //! `Arc` pointers into the column's own storage, so extraction happens once
 //! per run and every reader — on any thread — scans the identical buffers.
-//! Cloning a view never copies data.
-//!
-//! Views also carry a *window*: [`NumericView::slice`] and
-//! [`CodesView::slice`] narrow a view to a [`RowRange`] without touching
-//! the shared buffer — a window is just a range over the same
-//! `Arc`-backed column.
+//! Cloning a view never copies data, and every view covers its whole
+//! buffer.
 //!
 //! [`CodeGroups`] is the group-by companion: rows grouped directly by
 //! dictionary code, with no string materialization or hashing in the loop.
@@ -19,97 +15,38 @@ use crate::column::StrDict;
 use std::ops::Deref;
 use std::sync::Arc;
 
-/// A half-open range of row indices `[start, end)`, as taken by the
-/// views' `slice` windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RowRange {
-    /// First row of the range.
-    pub start: usize,
-    /// One past the last row of the range.
-    pub end: usize,
-}
-
-impl RowRange {
-    /// The range `[start, end)`. An inverted pair collapses to empty.
-    pub fn new(start: usize, end: usize) -> Self {
-        RowRange {
-            start,
-            end: end.max(start),
-        }
-    }
-
-    /// Number of rows in the range.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the range holds no rows.
-    pub fn is_empty(&self) -> bool {
-        self.start >= self.end
-    }
-}
-
-/// A dense, null-free `f64` view of a column, shared via `Arc` — possibly
-/// a [`RowRange`] window into the buffer.
+/// A dense, null-free `f64` view of a column, shared via `Arc`.
 ///
 /// Dereferences to `&[f64]`, so it drops into any slice-based numeric code.
 #[derive(Debug, Clone)]
 pub struct NumericView {
     values: Arc<Vec<f64>>,
-    offset: usize,
-    len: usize,
 }
 
 impl NumericView {
-    /// Wrap freshly computed values (a full-buffer window).
+    /// Wrap freshly computed values.
     pub fn new(values: Vec<f64>) -> Self {
         NumericView::from_arc(Arc::new(values))
     }
 
-    /// Share an existing buffer (zero-copy, full-buffer window).
+    /// Share an existing buffer (zero-copy).
     pub fn from_arc(values: Arc<Vec<f64>>) -> Self {
-        let len = values.len();
-        NumericView {
-            values,
-            offset: 0,
-            len,
-        }
+        NumericView { values }
     }
 
     /// The underlying shared buffer (for aliasing checks and re-wrapping).
-    /// Note this is the *whole* buffer: a sliced view shares the same
-    /// allocation as its parent — compare [`NumericView::range`] too when
-    /// identity of the window matters.
     pub fn shared(&self) -> &Arc<Vec<f64>> {
         &self.values
     }
 
-    /// The window this view exposes, in buffer coordinates.
-    pub fn range(&self) -> RowRange {
-        RowRange::new(self.offset, self.offset + self.len)
-    }
-
-    /// A zero-copy sub-window: `range` is interpreted relative to this
-    /// view (so slicing composes), clamped to its bounds.
-    pub fn slice(&self, range: RowRange) -> NumericView {
-        let start = range.start.min(self.len);
-        let end = range.end.min(self.len).max(start);
-        NumericView {
-            values: Arc::clone(&self.values),
-            offset: self.offset + start,
-            len: end - start,
-        }
-    }
-
     /// The values as a plain slice.
     pub fn as_slice(&self) -> &[f64] {
-        &self.values[self.offset..self.offset + self.len]
+        &self.values
     }
 
-    /// Gather the values at `rows` (view-relative indices) into a fresh
-    /// vector — one dense indexed pass over the window slice, no per-row
-    /// column dispatch. Panics if any index is out of the window, like
-    /// slice indexing.
+    /// Gather the values at `rows` into a fresh vector — one dense indexed
+    /// pass over the slice, no per-row column dispatch. Panics if any index
+    /// is out of range, like slice indexing.
     pub fn gather(&self, rows: &[usize]) -> Vec<f64> {
         let s = self.as_slice();
         rows.iter().map(|&r| s[r]).collect()
@@ -119,7 +56,7 @@ impl NumericView {
     /// view — the common full-coverage case where callers can skip
     /// gathering and read [`NumericView::as_slice`] directly.
     pub fn covers_all_rows(&self, rows: &[usize]) -> bool {
-        rows.len() == self.len && rows.iter().enumerate().all(|(i, &r)| r == i)
+        rows.len() == self.values.len() && rows.iter().enumerate().all(|(i, &r)| r == i)
     }
 }
 
@@ -137,67 +74,45 @@ impl From<Vec<f64>> for NumericView {
 }
 
 /// A zero-copy view of a dictionary-encoded string column: shared
-/// dictionary, shared per-row codes, shared validity — possibly a
-/// [`RowRange`] window.
+/// dictionary, shared per-row codes, shared validity.
 #[derive(Debug, Clone)]
 pub struct CodesView {
     dict: Arc<StrDict>,
     codes: Arc<Vec<u32>>,
     validity: Option<Arc<Vec<bool>>>,
-    offset: usize,
-    len: usize,
 }
 
 impl CodesView {
     /// Assemble from shared parts (used by `Column::codes_view`).
     pub fn new(dict: Arc<StrDict>, codes: Arc<Vec<u32>>, validity: Option<Arc<Vec<bool>>>) -> Self {
-        let len = codes.len();
         CodesView {
             dict,
             codes,
             validity,
-            offset: 0,
-            len,
         }
     }
 
-    /// Number of rows in the window.
+    /// Number of rows.
     pub fn len(&self) -> usize {
-        self.len
+        self.codes.len()
     }
 
     /// Whether the view has no rows.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.codes.is_empty()
     }
 
-    /// A zero-copy sub-window over the same dictionary, codes, and
-    /// validity; `range` is relative to this view and clamped.
-    pub fn slice(&self, range: RowRange) -> CodesView {
-        let start = range.start.min(self.len);
-        let end = range.end.min(self.len).max(start);
-        CodesView {
-            dict: Arc::clone(&self.dict),
-            codes: Arc::clone(&self.codes),
-            validity: self.validity.clone(),
-            offset: self.offset + start,
-            len: end - start,
-        }
-    }
-
-    /// The dictionary code at row `i` (window-relative), or `None` for a
-    /// null.
+    /// The dictionary code at row `i`, or `None` for a null.
     pub fn code(&self, i: usize) -> Option<u32> {
         match &self.validity {
-            Some(mask) if !mask[self.offset + i] => None,
-            _ => Some(self.codes[self.offset + i]),
+            Some(mask) if !mask[i] => None,
+            _ => Some(self.codes[i]),
         }
     }
 
-    /// The raw code buffer of the window (entries at null rows are
-    /// meaningless).
+    /// The raw code buffer (entries at null rows are meaningless).
     pub fn codes(&self) -> &[u32] {
-        &self.codes[self.offset..self.offset + self.len]
+        &self.codes
     }
 
     /// Resolve a code to its string.
@@ -216,16 +131,12 @@ impl CodesView {
         self.dict.len()
     }
 
-    /// Group the window's rows by dictionary code; see
-    /// [`CodeGroups::from_codes`]. Row indices in the result are
-    /// window-relative.
+    /// Group the rows by dictionary code; see [`CodeGroups::from_codes`].
     pub fn group_codes(&self) -> CodeGroups {
         CodeGroups::from_codes(
-            self.codes(),
+            &self.codes,
             self.dict.len(),
-            self.validity
-                .as_deref()
-                .map(|v| &v[self.offset..self.offset + self.len]),
+            self.validity.as_deref().map(Vec::as_slice),
         )
     }
 }
@@ -366,41 +277,6 @@ mod tests {
         let cat = Column::from_strs(&["a"]).view("c").unwrap();
         assert!(cat.as_codes().is_some());
         assert!(cat.as_numeric().is_none());
-    }
-
-    #[test]
-    fn numeric_slice_is_zero_copy_window() {
-        let view = NumericView::new(vec![1.0, 2.0, 3.0, 4.0, 5.0]);
-        let mid = view.slice(RowRange::new(1, 4));
-        assert_eq!(mid.as_slice(), &[2.0, 3.0, 4.0]);
-        assert!(Arc::ptr_eq(view.shared(), mid.shared()));
-        assert_eq!(mid.range(), RowRange::new(1, 4));
-        // Slicing composes relative to the window.
-        let inner = mid.slice(RowRange::new(1, 2));
-        assert_eq!(inner.as_slice(), &[3.0]);
-        assert_eq!(inner.range(), RowRange::new(2, 3));
-        // Out-of-bounds requests clamp instead of panicking.
-        assert_eq!(view.slice(RowRange::new(3, 99)).as_slice(), &[4.0, 5.0]);
-        assert!(view.slice(RowRange::new(9, 12)).is_empty());
-        assert!(view.slice(RowRange::new(2, 2)).is_empty());
-    }
-
-    #[test]
-    fn codes_slice_matches_full_view() {
-        let mut col = Column::from_strs(&["x", "y", "x", "z"]);
-        col.push(Value::Null).unwrap();
-        let view = col.codes_view().unwrap();
-        let tail = view.slice(RowRange::new(2, 5));
-        assert_eq!(tail.len(), 3);
-        assert_eq!(tail.code(0), view.code(2));
-        assert_eq!(tail.code(1), view.code(3));
-        assert_eq!(tail.code(2), None, "null row survives slicing");
-        assert_eq!(tail.codes(), &view.codes()[2..]);
-        // Window grouping equals grouping the window's rows directly.
-        let grouped = tail.group_codes();
-        assert_eq!(grouped.n_groups(), 3); // x, z, null
-        assert!(grouped.has_null_group());
-        assert_eq!(grouped.labels.len(), 3);
     }
 
     #[test]

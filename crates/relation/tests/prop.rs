@@ -1,8 +1,7 @@
 //! Property-based tests for the relation substrate.
 
 use charles_relation::{
-    read_csv, write_csv, CmpOp, Column, DataType, Predicate, RowRange, Schema, SnapshotPair, Table,
-    Value,
+    read_csv, write_csv, CmpOp, Column, DataType, Predicate, Schema, SnapshotPair, Table, Value,
 };
 use proptest::prelude::*;
 
@@ -152,33 +151,6 @@ proptest! {
                     return Err(proptest::test_runner::TestCaseError::fail(format!(
                         "extraction paths disagree for {name:?}: vec={vec:?} view={view:?}"
                     )));
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn sliced_views_window_the_same_data(table in table_strategy(), lo in 0usize..24, hi in 0usize..24) {
-        // Slicing a view must expose exactly the vector slice of the same
-        // window, for both numeric and dictionary-coded columns, and share
-        // the parent's storage.
-        let range = RowRange::new(lo.min(hi), hi.max(lo));
-        for name in table.schema().names() {
-            if let Ok(view) = table.numeric_view(name) {
-                let sliced = view.slice(range);
-                let start = range.start.min(view.len());
-                let end = range.end.min(view.len());
-                prop_assert_eq!(sliced.as_slice(), &view.as_slice()[start..end]);
-                prop_assert!(std::sync::Arc::ptr_eq(view.shared(), sliced.shared()));
-            }
-            let idx = table.schema().index_of(name).unwrap();
-            if let Some(codes) = table.column(idx).unwrap().codes_view() {
-                let sliced = codes.slice(range);
-                let start = range.start.min(codes.len());
-                let end = range.end.min(codes.len());
-                prop_assert_eq!(sliced.len(), end - start);
-                for (i, row) in (start..end).enumerate() {
-                    prop_assert_eq!(sliced.code(i), codes.code(row), "attr {}", name);
                 }
             }
         }

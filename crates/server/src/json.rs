@@ -242,7 +242,6 @@ fn write_string(s: &str, out: &mut String) {
 /// Maximum container nesting the parser accepts. Recursion is one stack
 /// frame per level, so an unbounded depth would let a small hostile body
 /// (`[[[[…`) overflow a worker thread's stack and abort the process.
-// lint:allow(block-grid-literals: JSON nesting depth cap, unrelated to the Gram block grid)
 const MAX_DEPTH: usize = 128;
 
 struct Parser<'a> {

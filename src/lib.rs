@@ -20,7 +20,7 @@ pub mod prelude {
     };
     pub use charles_relation::{
         apply_updates, read_csv, read_csv_path, write_csv, write_csv_path, ApplyMode, CmpOp,
-        Column, DataType, Expr, Predicate, RowRange, Schema, SnapshotPair, Table, TableBuilder,
+        Column, DataType, Expr, Predicate, Schema, SnapshotPair, Table, TableBuilder,
         UpdateStatement, Value,
     };
 }

@@ -142,3 +142,34 @@ fn e5_county_rankings_keep_their_bits() {
         "ranked-list bits moved; actual values: {actual:#x?}"
     );
 }
+
+/// Run hashes of the queries whose shortlists the setup assistant
+/// supplies, on `county(ROWS, 42)`: both lists (the default query), and
+/// the transformation list only (the query names its condition
+/// attributes).
+const ASSISTED_GOLDEN: [u64; 2] = [0x2785_6f82_cd9b_ff41, 0x23cc_d6c0_c4c2_90df];
+
+#[test]
+fn assistant_shortlist_rankings_keep_their_bits() {
+    let scenario = county(ROWS, 42);
+    let pair = SnapshotPair::align(scenario.source, scenario.target).unwrap();
+    let session =
+        Session::open_with_config(pair, CharlesConfig::default().with_threads(1)).unwrap();
+    let queries = [
+        Query::new("base_salary"),
+        Query::new("base_salary").with_condition_attrs(["department", "grade", "division"]),
+    ];
+    let actual: Vec<u64> = queries
+        .iter()
+        .map(|query| {
+            let result = session.run(query).unwrap();
+            assert!(!result.summaries.is_empty(), "{query:?}: empty ranking");
+            ranking_hash(&result)
+        })
+        .collect();
+    assert_eq!(
+        actual,
+        ASSISTED_GOLDEN.to_vec(),
+        "ranked-list bits moved; actual values: {actual:#x?}"
+    );
+}

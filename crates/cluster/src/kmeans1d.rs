@@ -34,17 +34,36 @@ pub struct KMeansResult {
 /// Ties between equally good split points resolve to the leftmost one
 /// (the smallest prefix for the earlier clusters), so the result is a pure
 /// function of the input multiset and its order.
+///
+/// This is the single-`k` case of [`kmeans_1d_many`].
 pub fn kmeans_1d(values: &[f64], k: usize) -> Result<KMeansResult> {
-    if k == 0 {
-        return Err(ClusterError::InvalidParameter("k must be ≥ 1".into()));
-    }
+    let mut results = kmeans_1d_many(values, &[k])?;
+    Ok(results.swap_remove(0))
+}
+
+/// [`kmeans_1d`] for every `k` in `ks` at once, one result per entry in
+/// `ks` order, each bit-identical to its own [`kmeans_1d`] call.
+///
+/// DP layer `c < k` is the same computation for every `k` (the same
+/// prefix-length range and split bounds), so the values are sorted and
+/// summed once, layers `1..k_max` are filled once, and only each `k`'s
+/// last layer — filled at `j = n` alone — is its own.
+pub fn kmeans_1d_many(values: &[f64], ks: &[usize]) -> Result<Vec<KMeansResult>> {
     let n = values.len();
-    if n < k {
-        return Err(ClusterError::TooFewPoints { points: n, k });
+    for &k in ks {
+        if k == 0 {
+            return Err(ClusterError::InvalidParameter("k must be ≥ 1".into()));
+        }
+        if n < k {
+            return Err(ClusterError::TooFewPoints { points: n, k });
+        }
     }
     if values.iter().any(|v| !v.is_finite()) {
         return Err(ClusterError::NonFinite);
     }
+    let Some(&k_max) = ks.iter().max() else {
+        return Ok(Vec::new());
+    };
 
     // Sort, remembering original positions.
     let mut order: Vec<usize> = (0..n).collect();
@@ -52,56 +71,71 @@ pub fn kmeans_1d(values: &[f64], k: usize) -> Result<KMeansResult> {
     let sorted: Vec<f64> = order.iter().map(|&i| values[i]).collect();
     let costs = RangeCosts::new(&sorted);
 
-    // `cost[j]` is the best cost of clustering the first j sorted values
-    // into the clusters used so far; `split[c][j]` is where the last of c+1
-    // clusters starts in that optimum. Layer 0 (no clusters) is finite only
-    // at j = 0.
-    let mut cost = vec![f64::INFINITY; n + 1];
-    cost[0] = 0.0;
-    let mut split: Vec<Vec<usize>> = Vec::with_capacity(k);
-    for c in 1..=k {
+    // `cost[c][j]` is the best cost of clustering the first j sorted values
+    // into c clusters; `split[c][j]` is where the last of those c clusters
+    // starts in that optimum. Layer 0 (no clusters) is finite only at
+    // j = 0. Layers below `k_max` need every prefix length that can still
+    // hold the remaining clusters.
+    let mut first = vec![f64::INFINITY; n + 1];
+    first[0] = 0.0;
+    let mut cost: Vec<Vec<f64>> = vec![first];
+    let mut split: Vec<Vec<usize>> = vec![Vec::new()];
+    for c in 1..k_max {
         let mut next = vec![f64::INFINITY; n + 1];
         let mut arg = vec![0usize; n + 1];
-        // Only j = n matters in the last layer; earlier layers need every
-        // prefix length that can still hold the remaining clusters.
-        let (jlo, jhi) = if c == k { (n, n) } else { (c, n) };
         fill_layer(
             &costs,
-            &cost,
+            &cost[c - 1],
             &mut next,
             &mut arg,
-            (jlo, jhi),
+            (c, n),
             (c - 1, n - 1),
         );
-        cost = next;
+        cost.push(next);
         split.push(arg);
     }
 
-    // Recover boundaries.
-    let mut boundaries = vec![0usize; k + 1];
-    boundaries[k] = n;
-    let mut j = n;
-    for c in (1..=k).rev() {
-        let i = split[c - 1][j];
-        boundaries[c - 1] = i;
-        j = i;
-    }
+    let mut results = Vec::with_capacity(ks.len());
+    for &k in ks {
+        // Only j = n matters in the last layer.
+        let mut last = vec![f64::INFINITY; n + 1];
+        let mut last_arg = vec![0usize; n + 1];
+        fill_layer(
+            &costs,
+            &cost[k - 1],
+            &mut last,
+            &mut last_arg,
+            (n, n),
+            (k - 1, n - 1),
+        );
 
-    // Build assignments (cluster ids ordered by value) and centroids.
-    let mut assignments = vec![0usize; n];
-    let mut centroids = Vec::with_capacity(k);
-    for c in 0..k {
-        let (lo, hi) = (boundaries[c], boundaries[c + 1]);
-        centroids.push(costs.mean(lo, hi));
-        for &orig in &order[lo..hi] {
-            assignments[orig] = c;
+        // Recover boundaries.
+        let mut boundaries = vec![0usize; k + 1];
+        boundaries[k] = n;
+        let mut j = n;
+        for c in (1..=k).rev() {
+            let i = if c == k { last_arg[j] } else { split[c][j] };
+            boundaries[c - 1] = i;
+            j = i;
         }
+
+        // Build assignments (cluster ids ordered by value) and centroids.
+        let mut assignments = vec![0usize; n];
+        let mut centroids = Vec::with_capacity(k);
+        for c in 0..k {
+            let (lo, hi) = (boundaries[c], boundaries[c + 1]);
+            centroids.push(costs.mean(lo, hi));
+            for &orig in &order[lo..hi] {
+                assignments[orig] = c;
+            }
+        }
+        results.push(KMeansResult {
+            assignments,
+            centroids,
+            inertia: last[n],
+        });
     }
-    Ok(KMeansResult {
-        assignments,
-        centroids,
-        inertia: cost[n],
-    })
+    Ok(results)
 }
 
 /// Prefix sums over sorted values: the within-cluster cost of any range
@@ -217,6 +251,56 @@ mod tests {
         (assignments, cost[k][n])
     }
 
+    /// [`kmeans_1d`] as it was before it shared layers across `k`: every
+    /// layer of its own DP, validation aside.
+    fn kmeans_1d_per_k(values: &[f64], k: usize) -> KMeansResult {
+        let n = values.len();
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by(|&a, &b| values[a].total_cmp(&values[b]));
+        let sorted: Vec<f64> = order.iter().map(|&i| values[i]).collect();
+        let costs = RangeCosts::new(&sorted);
+        let mut cost = vec![f64::INFINITY; n + 1];
+        cost[0] = 0.0;
+        let mut split: Vec<Vec<usize>> = Vec::with_capacity(k);
+        for c in 1..=k {
+            let mut next = vec![f64::INFINITY; n + 1];
+            let mut arg = vec![0usize; n + 1];
+            let (jlo, jhi) = if c == k { (n, n) } else { (c, n) };
+            fill_layer(
+                &costs,
+                &cost,
+                &mut next,
+                &mut arg,
+                (jlo, jhi),
+                (c - 1, n - 1),
+            );
+            cost = next;
+            split.push(arg);
+        }
+        let mut boundaries = vec![0usize; k + 1];
+        boundaries[k] = n;
+        let mut j = n;
+        for c in (1..=k).rev() {
+            let i = split[c - 1][j];
+            boundaries[c - 1] = i;
+            j = i;
+        }
+        let mut assignments = vec![0usize; n];
+        let mut centroids = Vec::with_capacity(k);
+        for c in 0..k {
+            let (lo, hi) = (boundaries[c], boundaries[c + 1]);
+            centroids.push(costs.mean(lo, hi));
+            for &orig in &order[lo..hi] {
+                assignments[orig] = c;
+            }
+        }
+        KMeansResult {
+            assignments,
+            centroids,
+            inertia: cost[n],
+        }
+    }
+
     /// Inputs where exact ties and near-ties between split points abound:
     /// few distinct values, mostly zeros, or tight groups.
     fn hard_inputs() -> impl Strategy<Value = Vec<f64>> {
@@ -238,6 +322,28 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(160))]
+
+        /// Every `k` of one multi-`k` pass equals the per-`k` DP that
+        /// fills all of its own layers: assignments, centroid bits and
+        /// inertia bits.
+        #[test]
+        fn many_matches_per_k_dp(
+            values in hard_inputs(),
+            ks in proptest::collection::vec(1usize..=7, 0..6),
+        ) {
+            prop_assume!(ks.iter().all(|&k| k <= values.len()));
+            let many = kmeans_1d_many(&values, &ks).unwrap();
+            prop_assert_eq!(many.len(), ks.len());
+            for (&k, got) in ks.iter().zip(&many) {
+                let want = kmeans_1d_per_k(&values, k);
+                prop_assert_eq!(&got.assignments, &want.assignments);
+                prop_assert_eq!(got.inertia.to_bits(), want.inertia.to_bits());
+                let bits = |r: &KMeansResult| -> Vec<u64> {
+                    r.centroids.iter().map(|c| c.to_bits()).collect()
+                };
+                prop_assert_eq!(bits(got), bits(&want));
+            }
+        }
 
         #[test]
         fn matches_quadratic_dp(values in hard_inputs(), k in 1usize..=6) {
@@ -333,6 +439,11 @@ mod tests {
         assert!(kmeans_1d(&[1.0], 0).is_err());
         assert!(kmeans_1d(&[1.0], 2).is_err());
         assert!(kmeans_1d(&[f64::NAN, 1.0], 1).is_err());
+        assert!(matches!(
+            kmeans_1d_many(&[1.0, 2.0], &[2, 3]),
+            Err(ClusterError::TooFewPoints { points: 2, k: 3 })
+        ));
+        assert!(kmeans_1d_many(&[1.0], &[]).unwrap().is_empty());
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! - exact 1-D k-means by dynamic programming ([`kmeans_1d`]) — the
 //!   residual-clustering routine (deterministic and optimal at every
 //!   input size in `O(k · n log n)`, which Lloyd's algorithm on
-//!   residuals is not), and
+//!   residuals is not); [`kmeans_1d_many`] clusters one signal at
+//!   several `k` in one pass, and
 //! - DBSCAN ([`dbscan()`]) as the partitioning ablation
 //!   (`PartitionMethod::ResidualDbscan`).
 //!
@@ -32,4 +33,4 @@ pub mod kmeans1d;
 
 pub use dbscan::{dbscan, DbscanResult, NOISE};
 pub use error::{ClusterError, Result};
-pub use kmeans1d::{kmeans_1d, KMeansResult};
+pub use kmeans1d::{kmeans_1d, kmeans_1d_many, KMeansResult};

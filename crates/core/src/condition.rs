@@ -290,7 +290,17 @@ impl Condition {
     /// rows. Unlike [`Condition::signature`] it compares thresholds by
     /// their exact bits, not their rendering.
     pub(crate) fn key(&self) -> Option<ConditionKey> {
-        let mut keys = self
+        let mut key = self.exact_key()?;
+        // A conjunction selects the same rows in any order.
+        key.0.sort();
+        Some(key)
+    }
+
+    /// The condition descriptor for descriptor, in order (`None` when an
+    /// attribute handle is unresolved): equal exact keys select equal rows
+    /// and render identically.
+    pub(crate) fn exact_key(&self) -> Option<ConditionKey> {
+        let keys = self
             .descriptors
             .iter()
             .map(|d| {
@@ -313,13 +323,12 @@ impl Condition {
                 })
             })
             .collect::<Option<Vec<_>>>()?;
-        // A conjunction selects the same rows in any order.
-        keys.sort();
         Some(ConditionKey(keys))
     }
 }
 
-/// See [`Condition::key`]: the condition's descriptors, sorted.
+/// See [`Condition::key`] (the condition's descriptors, sorted) and
+/// [`Condition::exact_key`] (in order).
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct ConditionKey(Vec<DescriptorKey>);
 

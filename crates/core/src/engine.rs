@@ -44,8 +44,9 @@ pub struct Charles {
 pub struct RunResult {
     /// Ranked summaries, best first (at most `config.max_summaries`).
     pub summaries: Vec<ChangeSummary>,
-    /// The assistant's attribute analysis used for this run.
-    pub setup: SetupReport,
+    /// The assistant's attribute analysis, present exactly when it
+    /// supplied a shortlist the engine was not given.
+    pub setup: Option<SetupReport>,
     /// Search bookkeeping.
     pub stats: SearchStats,
     /// Wall-clock duration of the search.
@@ -188,7 +189,7 @@ impl Charles {
         let result = self.session.run(&self.query())?;
         Ok(RunResult {
             summaries: result.summaries,
-            setup: (*result.setup).clone(),
+            setup: result.setup.as_deref().cloned(),
             stats: result.stats,
             elapsed: started.elapsed(),
         })

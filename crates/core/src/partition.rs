@@ -17,7 +17,7 @@
 use crate::condition::{Condition, Descriptor};
 use crate::config::{CharlesConfig, PartitionMethod, MAX_TREE_DEPTH};
 use crate::error::Result;
-use charles_cluster::{dbscan, kmeans_1d};
+use charles_cluster::{dbscan, kmeans_1d_many};
 use charles_numerics::normality::{roundness, scored_snap_candidates};
 use charles_numerics::stats::{mad, median};
 use charles_relation::{AttrRef, Column, RelationError, Table, Value};
@@ -75,58 +75,145 @@ fn trim_outliers(values: &[f64]) -> (Vec<usize>, Vec<usize>) {
 /// Returns one label per row (labels are dense, 0-based). Out-of-policy
 /// outliers (beyond `OUTLIER_MADS`) are assigned a dedicated trailing
 /// label rather than participating in clustering.
+///
+/// This is the single-`k` case of [`cluster_residuals_many`].
 pub fn cluster_residuals(
     residuals: &[f64],
     k: usize,
     config: &CharlesConfig,
 ) -> Result<Vec<usize>> {
-    if k <= 1 || residuals.len() <= 1 {
-        return Ok(vec![0; residuals.len()]);
+    let mut labelings = cluster_residuals_many(residuals, &[k], config)?;
+    Ok(labelings.swap_remove(0))
+}
+
+/// [`cluster_residuals`] for every `k` in `ks`, one labeling per entry in
+/// `ks` order, each equal to its own [`cluster_residuals`] call.
+///
+/// The outlier trim does not depend on `k`, so it runs once, to its fixed
+/// point (the trim repeats on the inliers until it removes nothing); the
+/// k-means layers below the largest `k` are shared through
+/// [`kmeans_1d_many`].
+pub fn cluster_residuals_many(
+    residuals: &[f64],
+    ks: &[usize],
+    config: &CharlesConfig,
+) -> Result<Vec<Vec<usize>>> {
+    let n = residuals.len();
+    // `kept` lists the rows still clustered (`None`: every row), `values`
+    // their residuals; every trimmed row is labelled `OUTLIER_LABEL`.
+    let mut kept: Option<Vec<usize>> = None;
+    let mut values: Vec<f64> = Vec::new();
+    if config.partition_method != PartitionMethod::ResidualDbscan {
+        loop {
+            let current = if kept.is_some() {
+                &values[..]
+            } else {
+                residuals
+            };
+            if current.len() <= 1 {
+                break;
+            }
+            let (inliers, out) = trim_outliers(current);
+            if out.is_empty() {
+                break;
+            }
+            let rows = |slots: &[usize]| -> Vec<usize> {
+                match &kept {
+                    Some(rows) => slots.iter().map(|&i| rows[i]).collect(),
+                    None => slots.to_vec(),
+                }
+            };
+            let next_rows = rows(&inliers);
+            values = inliers.iter().map(|&i| current[i]).collect();
+            kept = Some(next_rows);
+        }
     }
-    let (inliers, outliers) = match config.partition_method {
-        PartitionMethod::ResidualDbscan => ((0..residuals.len()).collect(), Vec::new()),
-        _ => trim_outliers(residuals),
+    let inliers = if kept.is_some() {
+        &values[..]
+    } else {
+        residuals
     };
-    if !outliers.is_empty() {
-        let inlier_vals: Vec<f64> = inliers.iter().map(|&i| residuals[i]).collect();
-        let sub = cluster_residuals(&inlier_vals, k, config)?;
-        let mut labels = vec![0usize; residuals.len()];
-        for (slot, &row) in inliers.iter().enumerate() {
-            labels[row] = sub[slot];
-        }
-        for &row in &outliers {
-            labels[row] = OUTLIER_LABEL;
-        }
-        return Ok(labels);
+    let clustered: Vec<usize> = ks
+        .iter()
+        .copied()
+        .filter(|&k| k > 1 && n > 1 && inliers.len() > 1)
+        .map(|k| k.min(inliers.len()))
+        .collect();
+    let mut sub = if clustered.is_empty() {
+        Vec::new()
+    } else {
+        cluster_inliers(inliers, &clustered, config)?
     }
-    let k = k.min(residuals.len());
+    .into_iter();
+    ks.iter()
+        .map(|&k| {
+            if k <= 1 || n <= 1 {
+                return Ok(vec![0; n]);
+            }
+            let labels = if inliers.len() > 1 {
+                sub.next()
+                    .ok_or_else(|| RelationError::InvalidArgument("missing clustering".into()))?
+            } else {
+                vec![0; inliers.len()]
+            };
+            let Some(rows) = &kept else {
+                return Ok(labels);
+            };
+            let mut out = vec![OUTLIER_LABEL; n];
+            for (&row, label) in rows.iter().zip(labels) {
+                out[row] = label;
+            }
+            Ok(out)
+        })
+        .collect()
+}
+
+/// Cluster the (trimmed) residuals into each of `ks` groups, every `k`
+/// at most `values.len()`.
+fn cluster_inliers(
+    values: &[f64],
+    ks: &[usize],
+    config: &CharlesConfig,
+) -> Result<Vec<Vec<usize>>> {
     match config.partition_method {
-        PartitionMethod::ResidualKMeans => Ok(kmeans_1d(residuals, k)?.assignments),
+        PartitionMethod::ResidualKMeans => Ok(kmeans_1d_many(values, ks)?
+            .into_iter()
+            .map(|r| r.assignments)
+            .collect()),
         PartitionMethod::ResidualQuantile => {
-            let mut sorted = residuals.to_vec();
+            let mut sorted = values.to_vec();
             sorted.sort_by(|a, b| a.total_cmp(b));
-            // Boundaries at the i/k quantiles.
-            let bounds: Vec<f64> = (1..k).map(|i| sorted[(i * sorted.len()) / k]).collect();
-            Ok(residuals
+            Ok(ks
                 .iter()
-                .map(|&r| bounds.iter().take_while(|&&b| r >= b).count())
+                .map(|&k| {
+                    // Boundaries at the i/k quantiles.
+                    let bounds: Vec<f64> = (1..k).map(|i| sorted[(i * sorted.len()) / k]).collect();
+                    values
+                        .iter()
+                        .map(|&r| bounds.iter().take_while(|&&b| r >= b).count())
+                        .collect()
+                })
                 .collect())
         }
         PartitionMethod::ResidualDbscan => {
-            let spread = mad(residuals).unwrap_or(0.0);
-            let med = median(residuals).unwrap_or(0.0);
+            if ks.is_empty() {
+                return Ok(Vec::new());
+            }
+            let spread = mad(values).unwrap_or(0.0);
+            let med = median(values).unwrap_or(0.0);
             let eps = (spread * 1.5).max(med.abs() * 1e-6).max(1e-9);
-            let min_points = (residuals.len() / 50).max(2);
-            let points: Vec<Vec<f64>> = residuals.iter().map(|&r| vec![r]).collect();
+            let min_points = (values.len() / 50).max(2);
+            let points: Vec<Vec<f64>> = values.iter().map(|&r| vec![r]).collect();
             let res = dbscan(&points, eps, min_points)?;
             // Noise points become their own trailing label so the tree can
             // still try to describe them.
             let noise_label = res.n_clusters;
-            Ok(res
+            let labels: Vec<usize> = res
                 .labels
                 .iter()
                 .map(|&l| if l < 0 { noise_label } else { l as usize })
-                .collect())
+                .collect();
+            Ok(vec![labels; ks.len()])
         }
     }
 }
@@ -176,7 +263,7 @@ fn gini(counts: &[usize]) -> f64 {
 /// Pick the roundest threshold `t` such that `x < t` partitions identically
 /// for every `t ∈ (below, above]`, where `below` is the largest value going
 /// left and `above` the smallest going right.
-fn nice_threshold(below: f64, above: f64) -> f64 {
+pub(crate) fn nice_threshold(below: f64, above: f64) -> f64 {
     let mid = (below + above) / 2.0;
     let mut best = above; // `x < above` is always a valid boundary
     let mut best_r = roundness(above);
@@ -188,6 +275,42 @@ fn nice_threshold(below: f64, above: f64) -> f64 {
         }
     }
     best
+}
+
+/// What the trees of one run may share. The provided methods compute
+/// each part afresh; a search overrides them with run-scoped caches, and a
+/// plain closure preparing split columns is a plane that shares nothing
+/// else.
+pub(crate) trait CartPlane {
+    /// A condition attribute prepared for split search (`None` if it is
+    /// neither numeric nor groupable).
+    fn split_column(&self, attr: &AttrRef, col: &Column) -> Option<Arc<SplitColumn>>;
+
+    /// One histogram column's root counts over every row: they depend
+    /// only on the column and the labeling, so the trees of one labeling
+    /// can share them. `count` counts them afresh.
+    fn root_counts(&self, _attr: &AttrRef, count: &dyn Fn() -> Vec<u32>) -> Arc<Vec<u32>> {
+        Arc::new(count())
+    }
+
+    /// [`nice_threshold`], a pure function of its arguments' bits.
+    fn threshold(&self, below: f64, above: f64) -> f64 {
+        nice_threshold(below, above)
+    }
+}
+
+impl<F> CartPlane for F
+where
+    F: Fn(&AttrRef, &Column) -> Option<Arc<SplitColumn>>,
+{
+    fn split_column(&self, attr: &AttrRef, col: &Column) -> Option<Arc<SplitColumn>> {
+        self(attr, col)
+    }
+}
+
+/// The plane of a lone tree: every part computed afresh.
+fn fresh_column(_: &AttrRef, col: &Column) -> Option<Arc<SplitColumn>> {
+    SplitColumn::new(col).map(Arc::new)
 }
 
 /// Most codes an attribute may have and still keep its node counts in a
@@ -474,6 +597,8 @@ enum Source {
 
 /// The CART tree grower over one labeling and attribute list.
 struct Grower<'a> {
+    /// Shared root counts and thresholds.
+    plane: &'a dyn CartPlane,
     attrs: &'a [AttrRef],
     /// The attributes that can be split on: index into `attrs`, column.
     columns: Vec<(usize, &'a SplitColumn)>,
@@ -523,6 +648,7 @@ impl<'a> Grower<'a> {
             .map(|&l| if l == OUTLIER_LABEL { n_labels } else { l } as u32)
             .collect();
         Grower {
+            plane: &fresh_column,
             attrs,
             columns: columns.iter().map(|(a, col)| (*a, &**col)).collect(),
             slots,
@@ -538,7 +664,8 @@ impl<'a> Grower<'a> {
     }
 
     /// The root over `rows`, which must be ascending; its histogram is
-    /// counted whether or not it is searched.
+    /// counted (or, over every row, taken from the plane) whether or not
+    /// it is searched.
     fn root(&mut self, rows: Vec<u32>) -> Node {
         let all = rows.len() == self.slots.len();
         let mut member = vec![all; self.slots.len()];
@@ -564,14 +691,42 @@ impl<'a> Grower<'a> {
         counts.truncate(self.n_labels);
         let end = rows.len();
         self.rows = rows;
+        let hist = if all {
+            self.root_histogram()
+        } else {
+            self.histogram(0, end)
+        };
         Node {
             start: 0,
             end,
             counts,
-            hist: self.histogram(0, end),
+            hist,
             path: Vec::new(),
             depth: 0,
         }
+    }
+
+    /// The histogram of a root over every row, each column's counts from
+    /// the plane.
+    fn root_histogram(&mut self) -> Vec<u32> {
+        let stride = self.n_labels + 1;
+        let mut hist = self.spare.pop().unwrap_or_default();
+        hist.clear();
+        hist.resize(self.hist_len, 0);
+        for (&(a, col), source) in self.columns.iter().zip(&self.sources) {
+            let Source::Histogram(at) = *source else {
+                continue;
+            };
+            let len = col.n_codes() * stride;
+            let count = || {
+                let mut counts = vec![0; len];
+                count_codes(&mut counts, &col.codes, &self.slots, &self.rows, stride);
+                counts
+            };
+            let counts = self.plane.root_counts(&self.attrs[a], &count);
+            hist[at..at + len].copy_from_slice(&counts);
+        }
+        hist
     }
 
     /// Whether a node is split-searched: below the depth cap, large
@@ -596,10 +751,7 @@ impl<'a> Grower<'a> {
                 continue;
             };
             let hist = &mut hist[at..at + col.n_codes() * stride];
-            for &r in rows {
-                let r = r as usize;
-                hist[col.codes[r] as usize * stride + self.slots[r] as usize] += 1;
-            }
+            count_codes(hist, &col.codes, &self.slots, rows, stride);
         }
         hist
     }
@@ -749,7 +901,7 @@ impl<'a> Grower<'a> {
         match &best.cut {
             Cut::Below { below, above, .. } => Descriptor::LessThan {
                 attr,
-                threshold: nice_threshold(*below, *above),
+                threshold: self.plane.threshold(*below, *above),
             },
             Cut::Equals { value, .. } => Descriptor::Equals {
                 attr,
@@ -864,6 +1016,14 @@ impl<'a> Grower<'a> {
     }
 }
 
+/// Add each of `rows` to its (code × label slot) count.
+fn count_codes(hist: &mut [u32], codes: &[u32], slots: &[u32], rows: &[u32], stride: usize) {
+    for &r in rows {
+        let r = r as usize;
+        hist[codes[r] as usize * stride + slots[r] as usize] += 1;
+    }
+}
+
 /// A grown leaf: its first row, condition, and range of the row buffer.
 type TreeLeaf = (usize, Condition, std::ops::Range<usize>);
 
@@ -872,12 +1032,12 @@ type TreeLeaf = (usize, Condition, std::ops::Range<usize>);
 fn split_columns(
     table: &Table,
     attrs: &[AttrRef],
-    prepared: &dyn Fn(&AttrRef, &Column) -> Option<Arc<SplitColumn>>,
+    plane: &dyn CartPlane,
 ) -> Vec<(usize, Arc<SplitColumn>)> {
     attrs
         .iter()
         .enumerate()
-        .filter_map(|(a, attr)| Some((a, prepared(attr, column_of(table, attr)?)?)))
+        .filter_map(|(a, attr)| Some((a, plane.split_column(attr, column_of(table, attr)?)?)))
         .collect()
 }
 
@@ -1000,8 +1160,9 @@ impl Leaves {
 
 /// Induce the leaves of a CART tree over `cond_attrs` that predicts
 /// `labels`. With `cond_attrs` empty (or labels constant), the single
-/// universal condition. `prepared` supplies each attribute's
-/// [`SplitColumn`], so a search prepares each attribute once per run.
+/// universal condition. `plane` supplies each attribute's
+/// [`SplitColumn`], root counts and thresholds, so a search computes each
+/// once per run.
 ///
 /// A leaf's rows are the rows its (simplified) condition matches. Where
 /// no split attribute holds a null or a NaN, those are the rows the tree
@@ -1014,7 +1175,7 @@ pub(crate) fn induce_conditions(
     cond_attrs: &[AttrRef],
     labels: &[usize],
     config: &CharlesConfig,
-    prepared: &dyn Fn(&AttrRef, &Column) -> Option<Arc<SplitColumn>>,
+    plane: &dyn CartPlane,
 ) -> Result<Leaves> {
     let n = table.height();
     let n_labels = label_count(labels);
@@ -1031,9 +1192,10 @@ pub(crate) fn induce_conditions(
         return Err(RelationError::InvalidArgument(message).into());
     };
     let (min_leaf, max_depth) = tree_bounds(n, config);
-    let columns = split_columns(table, cond_attrs, prepared);
+    let columns = split_columns(table, cond_attrs, plane);
     let tree_rows_exact = !columns.iter().any(|(_, col)| col.gaps);
     let mut grower = Grower::new(cond_attrs, &columns, labels, n_labels, min_leaf, max_depth);
+    grower.plane = plane;
     let root = grower.root((0..height).collect());
     let (rows, leaves) = grower.grow(root);
     leaves_of_tree(table, tree_rows_exact, &rows, leaves)
@@ -1109,8 +1271,7 @@ pub fn induce_partitions(
     labels: &[usize],
     config: &CharlesConfig,
 ) -> Result<Vec<PartitionSpec>> {
-    let prepare = |_: &AttrRef, col: &Column| SplitColumn::new(col).map(Arc::new);
-    let leaves = induce_conditions(table, cond_attrs, labels, config, &prepare)?;
+    let leaves = induce_conditions(table, cond_attrs, labels, config, &fresh_column)?;
     let rows = leaves.rows();
     Ok(leaves
         .conditions
@@ -2219,6 +2380,95 @@ mod tests {
         let qlabels = cluster_residuals(&residuals, 2, &qconfig).unwrap();
         assert_eq!(qlabels[0], qlabels[1]);
         assert_ne!(qlabels[0], qlabels[3]);
+    }
+
+    /// [`cluster_residuals`] as it was before the trim ran once for every
+    /// `k`: the trim recurses on the inliers, then clusters at one `k`.
+    fn cluster_residuals_recursive(
+        residuals: &[f64],
+        k: usize,
+        config: &CharlesConfig,
+    ) -> Result<Vec<usize>> {
+        if k <= 1 || residuals.len() <= 1 {
+            return Ok(vec![0; residuals.len()]);
+        }
+        let (inliers, outliers) = match config.partition_method {
+            PartitionMethod::ResidualDbscan => ((0..residuals.len()).collect(), Vec::new()),
+            _ => trim_outliers(residuals),
+        };
+        if !outliers.is_empty() {
+            let inlier_vals: Vec<f64> = inliers.iter().map(|&i| residuals[i]).collect();
+            let sub = cluster_residuals_recursive(&inlier_vals, k, config)?;
+            let mut labels = vec![0usize; residuals.len()];
+            for (slot, &row) in inliers.iter().enumerate() {
+                labels[row] = sub[slot];
+            }
+            for &row in &outliers {
+                labels[row] = OUTLIER_LABEL;
+            }
+            return Ok(labels);
+        }
+        let k = k.min(residuals.len());
+        Ok(cluster_inliers(residuals, &[k], config)?.swap_remove(0))
+    }
+
+    /// Residuals with a few far outliers, in nested rings so the trim
+    /// takes several rounds, and sometimes almost nothing left.
+    fn residual_case() -> impl Strategy<Value = Vec<f64>> {
+        let base = proptest::collection::vec((0usize..4, -1.0f64..1.0), 0..120).prop_map(|xs| {
+            xs.into_iter()
+                .map(|(g, noise)| [0.0, 3.0, 7.0, -4.0][g] + noise)
+                .collect::<Vec<f64>>()
+        });
+        let rings = proptest::collection::vec((0usize..3, any::<bool>()), 0..5);
+        (base, rings).prop_map(|(mut values, rings)| {
+            for (ring, negative) in rings {
+                let far = [1e3, 1e6, 1e9][ring];
+                values.push(if negative { -far } else { far });
+            }
+            values
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        /// One multi-`k` clustering equals a recursive per-`k` clustering
+        /// at every `k`, outlier labels included, under every method.
+        #[test]
+        fn many_matches_recursive_per_k(
+            residuals in residual_case(),
+            ks in proptest::collection::vec(0usize..=6, 0..6),
+            method in 0usize..3,
+        ) {
+            let config = CharlesConfig {
+                partition_method: [
+                    PartitionMethod::ResidualKMeans,
+                    PartitionMethod::ResidualQuantile,
+                    PartitionMethod::ResidualDbscan,
+                ][method],
+                ..default_config()
+            };
+            let many = cluster_residuals_many(&residuals, &ks, &config).unwrap();
+            prop_assert_eq!(many.len(), ks.len());
+            for (&k, labels) in ks.iter().zip(&many) {
+                let want = cluster_residuals_recursive(&residuals, k, &config).unwrap();
+                prop_assert_eq!(labels, &want, "k = {}", k);
+            }
+        }
+    }
+
+    #[test]
+    fn clustering_errors_match_per_k() {
+        let config = default_config();
+        let residuals = [1.0, f64::NAN, 2.0];
+        assert!(cluster_residuals_many(&residuals, &[2, 3], &config).is_err());
+        assert!(cluster_residuals_recursive(&residuals, 2, &config).is_err());
+        // k ≤ 1 never clusters, so it never fails.
+        assert_eq!(
+            cluster_residuals(&residuals, 1, &config).unwrap(),
+            [0, 0, 0]
+        );
     }
 
     #[test]

@@ -26,16 +26,19 @@ use crate::condition::{Condition, ConditionKey};
 use crate::config::CharlesConfig;
 use crate::ct::ConditionalTransformation;
 use crate::error::{CharlesError, Result};
-use crate::partition::{cluster_residuals, induce_conditions, Leaves, SplitColumn};
+use crate::partition::{
+    cluster_residuals, cluster_residuals_many, induce_conditions, CartPlane, Leaves, SplitColumn,
+};
 use crate::score::ScoringContext;
 use crate::snap::snap_fit;
-use crate::summary::ChangeSummary;
+use crate::summary::{ChangeSummary, InterpretabilityBreakdown, Scores};
 use crate::transform::{Term, Transformation};
 use charles_numerics::kernels;
 use charles_numerics::ols::{fit_constant, fit_ols_cols, LinearFit};
 use charles_relation::{AttrId, AttrRef, Column, NumericView, SnapshotPair, Table};
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
+use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -187,6 +190,14 @@ type PartitionFitKey = (Vec<AttrId>, ConditionKey);
 /// infeasible).
 type PartitionFit = Option<(Transformation, f64)>;
 
+/// Memo key for one root histogram column: condition attribute and
+/// labeling.
+type RootKey = (AttrId, LabelingKey);
+
+/// Memo key for one tree's scored CT list: transformation subset and the
+/// run's id of the tree's content.
+type ScoredKey = (Vec<AttrId>, usize);
+
 /// Memos that live for one engine run, beside the session-lifetime
 /// [`PlaneCaches`]. Their values hold no row vectors: a tree's leaves keep
 /// one `u16` leaf id per row, from which a candidate buckets its
@@ -197,15 +208,169 @@ struct RunMemos {
     /// once per run.
     split_columns: Mutex<HashMap<AttrId, Option<Arc<SplitColumn>>>>,
     split_columns_prepared: AtomicUsize,
-    /// Tree leaves per CART input: candidates that share a condition
-    /// subset and a labeling (all `T` sharing a Δ labeling do) grow one
-    /// tree.
-    cart: Mutex<HashMap<CartKey, Arc<Leaves>>>,
+    /// Root (code × label) counts per (condition attribute, labeling):
+    /// every tree over a labeling starts from the same root.
+    root_counts: Mutex<HashMap<RootKey, Arc<Vec<u32>>>>,
+    root_counts_computed: AtomicUsize,
+    /// Rendered split thresholds per `(below, above)` bits.
+    thresholds: Mutex<HashMap<(u64, u64), f64>>,
+    /// Trees per CART input: candidates that share a condition subset and
+    /// a labeling (all `T` sharing a Δ labeling do) grow one tree.
+    cart: Mutex<HashMap<CartKey, Arc<Tree>>>,
     carts_computed: AtomicUsize,
+    /// Grown trees by their leaf conditions, descriptor for descriptor:
+    /// trees over different labelings often come out identical, and share
+    /// one id.
+    trees: Mutex<HashMap<Vec<ConditionKey>, Vec<Arc<Tree>>>>,
+    trees_interned: AtomicUsize,
     /// Partition fits per (T, condition): trees over different labelings
     /// often induce the same leaves.
     partition_fits: Mutex<HashMap<PartitionFitKey, Arc<PartitionFit>>>,
     partition_fits_computed: AtomicUsize,
+    /// Merged and scored CT lists per (T, tree): an identical tree under
+    /// the same `T` gives an identical list and score.
+    scored: Mutex<HashMap<ScoredKey, Arc<Option<ScoredCts>>>>,
+    scorings_computed: AtomicUsize,
+}
+
+/// A grown tree, interned by content for the run.
+struct Tree {
+    /// The run's id of this content (`None` for a tree over unresolved
+    /// handles, which is never shared).
+    id: Option<usize>,
+    leaves: Leaves,
+}
+
+/// A tree's scored CT list, and the CTs with their rows when the lookup
+/// computed them.
+type Scoring = (
+    Arc<Option<ScoredCts>>,
+    Option<Vec<ConditionalTransformation>>,
+);
+
+/// One tree's CT list under one `T`, merged and scored, without rows.
+struct ScoredCts {
+    cts: Vec<ScoredCt>,
+    scores: Scores,
+    breakdown: InterpretabilityBreakdown,
+}
+
+/// A CT of [`ScoredCts`]: its rows are those of the tree leaves it covers.
+struct ScoredCt {
+    condition: Condition,
+    transformation: Transformation,
+    mae: f64,
+    /// The leaves whose rows the CT covers (several after a merge).
+    leaves: Vec<u16>,
+}
+
+impl ScoredCts {
+    /// Keep `cts` (built from `leaves`) without their rows.
+    fn new(
+        cts: &[ConditionalTransformation],
+        leaves: &Leaves,
+        scores: Scores,
+        breakdown: InterpretabilityBreakdown,
+    ) -> Self {
+        let cts = cts
+            .iter()
+            .map(|ct| {
+                let mut covered: Vec<u16> =
+                    ct.rows.iter().map(|&r| leaves.leaf_of_row[r]).collect();
+                covered.sort_unstable();
+                covered.dedup();
+                ScoredCt {
+                    condition: ct.condition.clone(),
+                    transformation: ct.transformation.clone(),
+                    mae: ct.mae,
+                    leaves: covered,
+                }
+            })
+            .collect();
+        ScoredCts {
+            cts,
+            scores,
+            breakdown,
+        }
+    }
+
+    /// The CTs with their rows, bucketed in one pass over `leaves`' rows:
+    /// a CT's rows are its leaves' rows, ascending.
+    fn materialize(&self, leaves: &Leaves) -> Vec<ConditionalTransformation> {
+        let n = leaves.leaf_of_row.len();
+        let mut ct_of_leaf = vec![usize::MAX; leaves.conditions.len()];
+        for (i, ct) in self.cts.iter().enumerate() {
+            for &leaf in &ct.leaves {
+                ct_of_leaf[usize::from(leaf)] = i;
+            }
+        }
+        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); self.cts.len()];
+        let mut unmatched = leaves.unmatched.iter().peekable();
+        for (r, &leaf) in leaves.leaf_of_row.iter().enumerate() {
+            if unmatched.next_if_eq(&&r).is_some() {
+                continue;
+            }
+            if let Some(ct_rows) = rows.get_mut(ct_of_leaf[usize::from(leaf)]) {
+                ct_rows.push(r);
+            }
+        }
+        self.cts
+            .iter()
+            .zip(rows)
+            .map(|(ct, rows)| {
+                ConditionalTransformation::new(
+                    ct.condition.clone(),
+                    ct.transformation.clone(),
+                    rows,
+                    n,
+                    ct.mae,
+                )
+            })
+            .collect()
+    }
+}
+
+/// The CART plane of one labeling in one run: split columns, root counts
+/// and thresholds come from the run's memos.
+struct RunPlane<'r, 'a> {
+    ctx: &'r SearchContext<'a>,
+    labeling: Option<&'r LabelingKey>,
+}
+
+impl CartPlane for RunPlane<'_, '_> {
+    fn split_column(&self, attr: &AttrRef, col: &Column) -> Option<Arc<SplitColumn>> {
+        self.ctx.split_column(attr, col)
+    }
+
+    fn root_counts(&self, attr: &AttrRef, count: &dyn Fn() -> Vec<u32>) -> Arc<Vec<u32>> {
+        let (Some(id), Some(labeling)) = (attr.id(), self.labeling) else {
+            return Arc::new(count());
+        };
+        let run = &self.ctx.run;
+        let Ok(counts) = memoized_or::<_, _, Infallible, _>(
+            &run.root_counts,
+            (id, labeling.clone()),
+            &run.root_counts_computed,
+            || Ok(Arc::new(count())),
+        );
+        counts
+    }
+
+    fn threshold(&self, below: f64, above: f64) -> f64 {
+        let key = (below.to_bits(), above.to_bits());
+        let memo = &self.ctx.run.thresholds;
+        if let Some(&hit) = lock(memo).get(&key) {
+            return hit;
+        }
+        let threshold = crate::partition::nice_threshold(below, above);
+        *lock(memo).entry(key).or_insert(threshold)
+    }
+}
+
+/// Lock a memo, shrugging off poisoning (every value is complete once
+/// inserted).
+fn lock<T>(memo: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    memo.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Everything shared by candidate evaluations for one engine run.
@@ -262,6 +427,29 @@ pub(crate) enum LabelingKey {
     RelDelta(usize),
     /// GROUP-BY-value labels of one categorical condition attribute.
     Categorical(AttrId),
+}
+
+impl LabelingKey {
+    /// The cluster count a signal's key asks for (`None` for a
+    /// categorical labeling).
+    fn k(&self) -> Option<usize> {
+        match self {
+            LabelingKey::Residual(_, k) | LabelingKey::Delta(k) | LabelingKey::RelDelta(k) => {
+                Some(*k)
+            }
+            LabelingKey::Categorical(_) => None,
+        }
+    }
+
+    /// The same signal's key at another cluster count.
+    fn with_k(&self, k: usize) -> LabelingKey {
+        match self {
+            LabelingKey::Residual(t, _) => LabelingKey::Residual(t.clone(), k),
+            LabelingKey::Delta(_) => LabelingKey::Delta(k),
+            LabelingKey::RelDelta(_) => LabelingKey::RelDelta(k),
+            LabelingKey::Categorical(id) => LabelingKey::Categorical(*id),
+        }
+    }
 }
 
 impl<'a> SearchContext<'a> {
@@ -353,14 +541,44 @@ impl<'a> SearchContext<'a> {
         })
     }
 
-    /// Memoized clustering of one change signal.
-    fn labels_for(&self, key: LabelingKey, signal: &[f64], k: usize) -> Result<Arc<Vec<usize>>> {
-        memoized(
-            &self.caches.label_memo,
-            (self.target_id, key),
-            &self.caches.labelings_computed,
-            || Ok(Arc::new(cluster_residuals(signal, k, self.config)?)),
-        )
+    /// Memoized clustering of one change signal at the cluster count its
+    /// key names. On a miss at a `k ≥ 2` of the configured range, the
+    /// signal is clustered at every `k ≥ 2` of that range in one pass and
+    /// all of them enter the memo: every candidate `k` of the range asks
+    /// for each signal a candidate of any `k` asks for.
+    fn labels_for(&self, key: LabelingKey, signal: &[f64]) -> Result<Arc<Vec<usize>>> {
+        let ks: Vec<usize> = (self.config.k_min.max(2)..=self.config.k_max).collect();
+        let k = key.k().unwrap_or(0);
+        if !ks.contains(&k) {
+            return memoized(
+                &self.caches.label_memo,
+                (self.target_id, key),
+                &self.caches.labelings_computed,
+                || Ok(Arc::new(cluster_residuals(signal, k, self.config)?)),
+            );
+        }
+        let memo = &self.caches.label_memo;
+        if let Some(hit) = lock(memo).get(&(self.target_id, key.clone())) {
+            return Ok(Arc::clone(hit));
+        }
+        let labelings = cluster_residuals_many(signal, &ks, self.config)?;
+        let mut memo = lock(memo);
+        let mut asked = None;
+        for (&k_at, labels) in ks.iter().zip(labelings) {
+            let labels = match memo.entry((self.target_id, key.with_k(k_at))) {
+                Entry::Occupied(entry) => Arc::clone(entry.get()),
+                Entry::Vacant(entry) => {
+                    self.caches
+                        .labelings_computed
+                        .fetch_add(1, Ordering::Relaxed);
+                    Arc::clone(entry.insert(Arc::new(labels)))
+                }
+            };
+            if k_at == k {
+                asked = Some(labels);
+            }
+        }
+        asked.ok_or_else(|| CharlesError::BadConfig(format!("no labeling at k = {k}")))
     }
 
     /// Memoized GROUP-BY-value labeling of one categorical condition
@@ -405,33 +623,89 @@ impl<'a> SearchContext<'a> {
         }
     }
 
-    /// The leaves of the CART tree over `cond_attrs` predicting one
-    /// labeling, memoized for the run (unresolved handles bypass it).
-    fn leaves(
+    /// The CART tree over `cond_attrs` predicting one labeling, memoized
+    /// for the run and interned by content (unresolved handles bypass
+    /// both).
+    fn tree(
         &self,
         cond_attrs: &[AttrRef],
         labeling: Option<&LabelingKey>,
         labels: &[usize],
-    ) -> Result<Arc<Leaves>> {
-        let induce = || {
-            let prepared = |attr: &AttrRef, col: &Column| self.split_column(attr, col);
-            Ok(Arc::new(induce_conditions(
-                self.source(),
-                cond_attrs,
-                labels,
-                self.config,
-                &prepared,
-            )?))
+    ) -> Result<Arc<Tree>> {
+        let grow = || {
+            let plane = RunPlane {
+                ctx: self,
+                labeling,
+            };
+            induce_conditions(self.source(), cond_attrs, labels, self.config, &plane)
         };
         match (attr_ids(cond_attrs), labeling) {
             (Some(ids), Some(labeling)) => memoized(
                 &self.run.cart,
                 (ids, labeling.clone()),
                 &self.run.carts_computed,
-                induce,
+                || Ok(self.intern(grow()?)),
             ),
-            _ => induce(),
+            _ => Ok(Arc::new(Tree {
+                id: None,
+                leaves: grow()?,
+            })),
         }
+    }
+
+    /// The run's one tree holding exactly `leaves`: an earlier tree with
+    /// the same conditions (descriptor for descriptor, so they render
+    /// identically) and the same rows in each leaf, or `leaves` under a
+    /// new id.
+    fn intern(&self, leaves: Leaves) -> Arc<Tree> {
+        let keys: Option<Vec<ConditionKey>> =
+            leaves.conditions.iter().map(Condition::exact_key).collect();
+        let Some(keys) = keys else {
+            return Arc::new(Tree { id: None, leaves });
+        };
+        let mut trees = lock(&self.run.trees);
+        let same_conditions = trees.entry(keys).or_default();
+        let same_rows = |tree: &&Arc<Tree>| {
+            tree.leaves.leaf_of_row == leaves.leaf_of_row
+                && tree.leaves.unmatched == leaves.unmatched
+        };
+        if let Some(tree) = same_conditions.iter().find(same_rows) {
+            return Arc::clone(tree);
+        }
+        let id = self.run.trees_interned.fetch_add(1, Ordering::Relaxed);
+        let tree = Arc::new(Tree {
+            id: Some(id),
+            leaves,
+        });
+        same_conditions.push(Arc::clone(&tree));
+        tree
+    }
+
+    /// One tree's CT list under `tran_attrs`, merged and scored (`None`
+    /// when no leaf yields a CT), memoized for the run on (`T`, tree).
+    /// When this call computed it, the CTs with their rows come too.
+    fn scored(&self, tran_attrs: &[AttrRef], tree: &Tree) -> Result<Scoring> {
+        let mut fresh = None;
+        let mut score = || {
+            let cts = cts_from_leaves(self, tran_attrs, &tree.leaves)?;
+            if cts.is_empty() {
+                return Ok(Arc::new(None));
+            }
+            let (scores, breakdown) = self.scoring.score(&cts)?;
+            let scored = ScoredCts::new(&cts, &tree.leaves, scores, breakdown);
+            fresh = Some(cts);
+            Ok(Arc::new(Some(scored)))
+        };
+        let scored = match (attr_ids(tran_attrs), tree.id) {
+            (Some(tran), Some(id)) => memoized(
+                &self.run.scored,
+                (tran, id),
+                &self.run.scorings_computed,
+                score,
+            )?,
+            _ => score()?,
+        };
+        Ok((scored, fresh))
     }
 
     /// The fitted model of one partition, memoized for the run on
@@ -533,19 +807,26 @@ where
     V: Clone,
     F: FnOnce() -> Result<V>,
 {
-    if let Some(hit) = memo
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .get(&key)
-    {
+    memoized_or::<K, V, CharlesError, F>(memo, key, computed, compute)
+}
+
+/// [`memoized`] for a computation failing with any error type.
+fn memoized_or<K, V, E, F>(
+    memo: &Mutex<HashMap<K, V>>,
+    key: K,
+    computed: &AtomicUsize,
+    compute: F,
+) -> std::result::Result<V, E>
+where
+    K: Eq + std::hash::Hash,
+    V: Clone,
+    F: FnOnce() -> std::result::Result<V, E>,
+{
+    if let Some(hit) = lock(memo).get(&key) {
         return Ok(hit.clone());
     }
     let value = compute()?;
-    match memo
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .entry(key)
-    {
+    match lock(memo).entry(key) {
         Entry::Occupied(entry) => Ok(entry.get().clone()),
         Entry::Vacant(entry) => {
             computed.fetch_add(1, Ordering::Relaxed);
@@ -907,16 +1188,13 @@ fn categorical_labels(table: &Table, attr: &AttrRef) -> Option<Vec<usize>> {
     Some(groups.labels)
 }
 
-/// Build conditional transformations from one labeling (identified by
-/// `labeling` for the run's CART memo).
-fn cts_from_labels(
+/// Build the merged conditional transformations of one tree's leaves.
+fn cts_from_leaves(
     ctx: &SearchContext<'_>,
-    candidate: &Candidate,
-    labeling: Option<&LabelingKey>,
-    labels: &[usize],
+    tran_attrs: &[AttrRef],
+    leaves: &Leaves,
 ) -> Result<Vec<ConditionalTransformation>> {
     let n = ctx.y_target.len();
-    let leaves = ctx.leaves(&candidate.cond_attrs, labeling, labels)?;
     let tolerance = ctx.config.change_tolerance;
     let mut cts = Vec::with_capacity(leaves.conditions.len());
     // The partitions are *exactly* what the conditions say: a leaf's rows
@@ -933,10 +1211,7 @@ fn cts_from_labels(
         let (transformation, mae) = if unchanged {
             (Transformation::Identity, 0.0)
         } else {
-            match ctx
-                .partition_fit(&candidate.tran_attrs, condition, &rows)?
-                .as_ref()
-            {
+            match ctx.partition_fit(tran_attrs, condition, &rows)?.as_ref() {
                 Some(ft) => ft.clone(),
                 None => continue,
             }
@@ -1012,9 +1287,6 @@ fn evaluate_candidate_uncached(
         return Ok(None);
     };
 
-    let scoring = ctx.scoring();
-    let mut best: Option<(ChangeSummary, f64)> = None;
-    let mut seen_labelings: Vec<Arc<Vec<usize>>> = Vec::new();
     let mut labelings: Vec<(Option<LabelingKey>, Arc<Vec<usize>>)> = Vec::new();
     // The change signals candidate partitions are mined from: the global
     // fit's residuals (the paper's method) plus the direct absolute and
@@ -1034,7 +1306,7 @@ fn evaluate_candidate_uncached(
         (LabelingKey::Delta(k), ctx.delta.as_slice()),
         (LabelingKey::RelDelta(k), ctx.rel_delta.as_slice()),
     ] {
-        let labels = ctx.labels_for(key.clone(), signal, k)?;
+        let labels = ctx.labels_for(key.clone(), signal)?;
         labelings.push((Some(key), labels));
     }
     // For a single categorical condition attribute, the GROUP-BY-value
@@ -1047,44 +1319,56 @@ fn evaluate_candidate_uncached(
             labelings.push((attr.id().map(LabelingKey::Categorical), labels));
         }
     }
+    let mut seen: Vec<Arc<Tree>> = Vec::new();
+    let mut best: Option<(Arc<Tree>, Scoring)> = None;
     for (key, labels) in labelings {
-        if seen_labelings
-            .iter()
-            .any(|seen| Arc::ptr_eq(seen, &labels) || **seen == *labels)
-        {
-            continue; // identical labeling ⇒ identical summary
+        let tree = ctx.tree(&candidate.cond_attrs, key.as_ref(), &labels)?;
+        if seen.iter().any(|s| Arc::ptr_eq(s, &tree)) {
+            continue; // identical tree ⇒ identical summary, and an earlier tie wins
         }
-        let cts = cts_from_labels(ctx, candidate, key.as_ref(), &labels)?;
-        seen_labelings.push(labels);
-        if cts.is_empty() {
+        seen.push(Arc::clone(&tree));
+        let scoring = ctx.scored(&candidate.tran_attrs, &tree)?;
+        let Some(score) = scoring.0.as_ref().as_ref().map(|s| s.scores.score) else {
             continue;
-        }
-        let (scores, breakdown) = scoring.score(&cts)?;
-        if best.as_ref().is_none_or(|(_, s)| scores.score > *s) {
-            let score = scores.score;
-            best = Some((
-                ChangeSummary {
-                    cts,
-                    target_attr: ctx.target_attr.to_string(),
-                    condition_attrs: candidate
-                        .cond_attrs
-                        .iter()
-                        .map(|a| a.name().to_string())
-                        .collect(),
-                    transform_attrs: candidate
-                        .tran_attrs
-                        .iter()
-                        .map(|a| a.name().to_string())
-                        .collect(),
-                    scores,
-                    breakdown,
-                    total_rows: n,
-                },
-                score,
-            ));
+        };
+        let better = match &best {
+            Some((_, (b, _))) => b.as_ref().as_ref().is_none_or(|b| score > b.scores.score),
+            None => true,
+        };
+        if better {
+            best = Some((tree, scoring));
         }
     }
-    Ok(best.map(|(summary, _)| summary))
+    let Some((tree, (scored, fresh))) = best else {
+        return Ok(None);
+    };
+    let Some(scored) = scored.as_ref() else {
+        return Ok(None);
+    };
+    let cts = match fresh {
+        Some(cts) => {
+            debug_assert_eq!(cts, scored.materialize(&tree.leaves));
+            cts
+        }
+        None => scored.materialize(&tree.leaves),
+    };
+    Ok(Some(ChangeSummary {
+        cts,
+        target_attr: ctx.target_attr.to_string(),
+        condition_attrs: candidate
+            .cond_attrs
+            .iter()
+            .map(|a| a.name().to_string())
+            .collect(),
+        transform_attrs: candidate
+            .tran_attrs
+            .iter()
+            .map(|a| a.name().to_string())
+            .collect(),
+        scores: scored.scores,
+        breakdown: scored.breakdown,
+        total_rows: n,
+    }))
 }
 
 /// Reference ("naive") data plane: rebuild a fresh context for one
@@ -1399,18 +1683,63 @@ mod tests {
         };
         let first = evaluate_candidate(&ctx, &candidate).unwrap().unwrap();
         let count = |c: &AtomicUsize| c.load(Ordering::Relaxed);
-        let (carts, fits) = (
+        let (carts, fits, scorings, roots) = (
             count(&ctx.run.carts_computed),
             count(&ctx.run.partition_fits_computed),
+            count(&ctx.run.scorings_computed),
+            count(&ctx.run.root_counts_computed),
         );
-        assert!(carts > 0 && fits > 0);
+        assert!(carts > 0 && fits > 0 && scorings > 0);
+        // The one categorical attribute (`edu`) keeps a root histogram per
+        // labeling; `exp` has too few codes to matter either way.
+        assert!(roots <= 2 * carts, "{roots} root counts over {carts} trees");
         let again = evaluate_candidate(&ctx, &candidate).unwrap().unwrap();
         assert_eq!(again.to_string(), first.to_string());
         assert_eq!(again.scores.score.to_bits(), first.scores.score.to_bits());
         assert_eq!(count(&ctx.run.carts_computed), carts);
         assert_eq!(count(&ctx.run.partition_fits_computed), fits);
+        assert_eq!(count(&ctx.run.scorings_computed), scorings);
+        assert_eq!(count(&ctx.run.root_counts_computed), roots);
         // Each condition attribute (`edu`, `exp`) is prepared once.
         assert_eq!(count(&ctx.run.split_columns_prepared), 2);
+    }
+
+    #[test]
+    fn labelings_growing_one_tree_are_scored_once() {
+        let pair = example_pair();
+        let config = CharlesConfig::default();
+        let tran = vec!["bonus".to_string()];
+        let ctx = SearchContext::new(&pair, "bonus", &tran, &config).unwrap();
+        let cond = refs(&pair, &["edu", "exp"]);
+        let t = refs(&pair, &["bonus"]);
+        // PhDs against the rest, under two numberings of the labels: two
+        // labelings, one tree.
+        let phd = [1, 1, 0, 0, 0, 0, 0, 0, 1];
+        let flipped: Vec<usize> = phd.iter().map(|l| 1 - l).collect();
+        let a = ctx.tree(&cond, Some(&LabelingKey::Delta(2)), &phd).unwrap();
+        let b = ctx
+            .tree(&cond, Some(&LabelingKey::RelDelta(2)), &flipped)
+            .unwrap();
+        let count = |c: &AtomicUsize| c.load(Ordering::Relaxed);
+        assert_eq!(count(&ctx.run.carts_computed), 2);
+        assert!(Arc::ptr_eq(&a, &b), "identical trees must intern to one");
+        let (first, fresh) = ctx.scored(&t, &a).unwrap();
+        let (second, again) = ctx.scored(&t, &b).unwrap();
+        assert!(Arc::ptr_eq(&first, &second));
+        assert!(fresh.is_some() && again.is_none());
+        assert_eq!(count(&ctx.run.scorings_computed), 1);
+        // The materialized rows are the tree's leaves, as a fresh build
+        // gives them.
+        let scored = first.as_ref().as_ref().unwrap();
+        assert_eq!(scored.materialize(&a.leaves), fresh.unwrap());
+        // Another T over the same tree is scored on its own.
+        let wide = SearchContext::new(&pair, "bonus", &["exp".into()], &config).unwrap();
+        let tree = wide
+            .tree(&cond, Some(&LabelingKey::Delta(2)), &phd)
+            .unwrap();
+        wide.scored(&refs(&pair, &["exp"]), &tree).unwrap();
+        wide.scored(&t, &tree).unwrap();
+        assert_eq!(count(&wide.run.scorings_computed), 2);
     }
 
     /// Sibling CTs whose coefficients agree to 9 decimals carry the same

@@ -173,9 +173,10 @@ pub struct QueryResult {
     pub alpha: f64,
     /// Ranked summaries, best first (at most the query's summary budget).
     pub summaries: Vec<ChangeSummary>,
-    /// The assistant's attribute analysis used for this run (shared with
-    /// the session's cache).
-    pub setup: Arc<SetupReport>,
+    /// The assistant's attribute analysis, present exactly when it
+    /// supplied a shortlist the query left unset (shared with the
+    /// session's cache).
+    pub setup: Option<Arc<SetupReport>>,
     /// Search bookkeeping.
     pub stats: SearchStats,
     /// Wall-clock duration of the search (or of the re-scoring, for
@@ -221,7 +222,8 @@ pub struct SessionStats {
     pub columns_extracted: usize,
     /// Per-target change-signal planes built.
     pub target_planes_built: usize,
-    /// Setup-assistant reports computed.
+    /// Setup-assistant reports computed (a query naming both shortlists
+    /// runs none).
     pub setup_reports_computed: usize,
     /// Global OLS fits computed.
     pub global_fits_computed: usize,
@@ -424,8 +426,9 @@ impl Session {
         self.setup_cached(&target_ref, &self.config, true)
     }
 
-    /// Answer one query: assistant (cached), enumeration, evaluation over
-    /// the shared plane (cached fits/labelings/candidates), ranking.
+    /// Answer one query: assistant (cached, and only when the query leaves
+    /// a shortlist unset), enumeration, evaluation over the shared plane
+    /// (cached fits/labelings/candidates), ranking.
     ///
     /// A second run of an identical query re-ranks cached candidate
     /// summaries without performing any new fits, clusterings, or column
@@ -434,8 +437,12 @@ impl Session {
         let config = self.effective_config(query);
         config.validate()?;
         let target_ref = self.resolve_target(&query.target)?;
-        let setup = self.setup_cached(&target_ref, &config, query.config.is_none())?;
-        let (cond, tran) = resolve_attrs(&self.pair, query, &setup)?;
+        let setup = if query.condition_attrs.is_some() && query.transform_attrs.is_some() {
+            None
+        } else {
+            Some(self.setup_cached(&target_ref, &config, query.config.is_none())?)
+        };
+        let (cond, tran) = resolve_attrs(&self.pair, query, setup.as_deref())?;
         let schema = self.pair.source().schema();
         let cond_refs: Vec<AttrRef> = cond
             .iter()
@@ -525,7 +532,7 @@ impl Session {
             query: result.query.clone().with_alpha(alpha),
             alpha,
             summaries,
-            setup: Arc::clone(&result.setup),
+            setup: result.setup.clone(),
             stats: result.stats.clone(),
             elapsed: started.elapsed(),
         })
@@ -749,21 +756,23 @@ impl fmt::Debug for Session {
     }
 }
 
-/// Resolve the attribute lists a run will search over, after query
-/// overrides; validates that transformation attributes are numeric.
+/// Resolve the attribute lists a run will search over: the query's own,
+/// else the assistant's (`setup` is present whenever the query leaves a
+/// list unset); validates that transformation attributes are numeric.
 fn resolve_attrs(
     pair: &SnapshotPair,
     query: &Query,
-    setup: &SetupReport,
+    setup: Option<&SetupReport>,
 ) -> Result<(Vec<String>, Vec<String>)> {
+    let shortlist = |list: fn(&SetupReport) -> Vec<String>| setup.map(list).unwrap_or_default();
     let cond = query
         .condition_attrs
         .clone()
-        .unwrap_or_else(|| setup.condition_attrs());
+        .unwrap_or_else(|| shortlist(SetupReport::condition_attrs));
     let tran = query
         .transform_attrs
         .clone()
-        .unwrap_or_else(|| setup.transform_attrs());
+        .unwrap_or_else(|| shortlist(SetupReport::transform_attrs));
     let schema = pair.source().schema();
     for attr in &cond {
         schema.index_of(attr)?;
@@ -1065,8 +1074,72 @@ mod tests {
         let after = session.stats();
         assert_eq!(after.global_fits_computed, warmed.global_fits_computed);
         assert_eq!(after.candidates_computed, warmed.candidates_computed);
-        // Setup reports are counted even when private.
-        assert!(after.setup_reports_computed > warmed.setup_reports_computed);
+        // The query names both shortlists, so no assistant runs.
+        assert_eq!(after.setup_reports_computed, 0);
+        // A shortlist query under an override computes a private setup
+        // report, and it is counted.
+        let custom = CharlesConfig::default().with_k_range(1, 3);
+        let result = session
+            .run(&Query::new("bonus").with_config(custom))
+            .unwrap();
+        assert!(result.setup.is_some());
+        assert_eq!(session.stats().setup_reports_computed, 1);
+    }
+
+    #[test]
+    fn setup_runs_only_for_shortlist_queries() {
+        let session = Session::open(fig1_pair()).unwrap();
+        let named = session.run(&fig1_query()).unwrap();
+        assert!(named.setup.is_none());
+        assert_eq!(session.stats().setup_reports_computed, 0);
+        // One list named: the assistant supplies the other.
+        let half = session
+            .run(&Query::new("bonus").with_condition_attrs(["edu", "exp"]))
+            .unwrap();
+        assert!(half.setup.is_some());
+        assert_eq!(session.stats().setup_reports_computed, 1);
+        let shortlist = session.run(&Query::new("bonus")).unwrap();
+        assert!(Arc::ptr_eq(
+            half.setup.as_ref().unwrap(),
+            shortlist.setup.as_ref().unwrap()
+        ));
+        assert_eq!(session.stats().setup_reports_computed, 1);
+        // A rescore keeps the result's (absent) report.
+        assert!(session.rescore(&named, 0.2).unwrap().setup.is_none());
+    }
+
+    /// A query naming both shortlists fails as it did when the assistant
+    /// ran first: each malformed part with its own error variant.
+    #[test]
+    fn named_query_errors_keep_their_variants() {
+        let session = Session::open(fig1_pair()).unwrap();
+        let named = |target: &str, cond: &[&str], tran: &[&str]| {
+            Query::new(target)
+                .with_condition_attrs(cond.iter().copied())
+                .with_transform_attrs(tran.iter().copied())
+        };
+        let error = |query: Query| session.run(&query).unwrap_err();
+        assert!(matches!(
+            error(named("nope", &["edu"], &["bonus"])),
+            CharlesError::Query(QueryError::UnknownTarget { .. })
+        ));
+        assert!(matches!(
+            error(named("edu", &["exp"], &["bonus"])),
+            CharlesError::Query(QueryError::NonNumericTarget { .. })
+        ));
+        assert!(matches!(
+            error(named("bonus", &["nonexistent"], &["bonus"])),
+            CharlesError::Relation(_)
+        ));
+        assert!(matches!(
+            error(named("bonus", &["edu"], &["edu"])),
+            CharlesError::BadConfig(_)
+        ));
+        assert!(matches!(
+            error(named("bonus", &["edu"], &[])),
+            CharlesError::Query(QueryError::EmptyTransformShortlist)
+        ));
+        assert_eq!(session.stats().setup_reports_computed, 0);
     }
 
     #[test]

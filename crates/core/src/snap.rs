@@ -31,22 +31,70 @@ fn mae_of(columns: &[Vec<f64>], y: &[f64], coefs: &[f64], intercept: f64) -> f64
     }
     let mut total = 0.0;
     for i in 0..n {
-        let mut pred = intercept;
-        for (c, col) in coefs.iter().zip(columns.iter()) {
-            pred += c * col[i];
-        }
         // lint:allow(float-fold-order: scalar reference accumulation in fixed row order)
-        total += (pred - y[i]).abs();
+        total += abs_residual(columns, y, coefs, intercept, i);
     }
     total / n as f64
 }
 
-/// Fit the free (unsnapped) columns against the residual target after
-/// subtracting fixed contributions. Returns (coefficients in full order,
-/// intercept) or `None` if the refit fails.
-fn refit_free(columns: &[Vec<f64>], y: &[f64], fixed: &[Option<f64>]) -> Option<(Vec<f64>, f64)> {
+/// `|prediction − y|` at row `i`, the prediction summed in column order.
+fn abs_residual(columns: &[Vec<f64>], y: &[f64], coefs: &[f64], intercept: f64, i: usize) -> f64 {
+    let mut pred = intercept;
+    for (c, col) in coefs.iter().zip(columns.iter()) {
+        pred += c * col[i];
+    }
+    (pred - y[i]).abs()
+}
+
+/// Rows a trial sums between checks of its running error.
+const PREFIX_ROWS: usize = 64;
+
+/// [`mae_of`] when it is within `budget`, else `None`, giving up on a
+/// prefix: the terms are non-negative (or NaN, which no prefix check
+/// rejects and the closing check does), and IEEE addition of a
+/// non-negative term and division by `n` are monotone, so a prefix whose
+/// mean over all `n` rows is already over budget is rejected exactly as
+/// the full sum would be. The rows are summed in the same order as
+/// [`mae_of`] sums them, so an accepted error has the same bits.
+fn mae_within(
+    columns: &[Vec<f64>],
+    y: &[f64],
+    coefs: &[f64],
+    intercept: f64,
+    budget: f64,
+) -> Option<f64> {
     let n = y.len();
-    let mut residual = y.to_vec();
+    if n == 0 {
+        return (0.0 <= budget).then_some(0.0);
+    }
+    let mut total = 0.0;
+    for start in (0..n).step_by(PREFIX_ROWS) {
+        let end = (start + PREFIX_ROWS).min(n);
+        for i in start..end {
+            // lint:allow(float-fold-order: the same row order as `mae_of`, whose bits an accepted error keeps)
+            total += abs_residual(columns, y, coefs, intercept, i);
+        }
+        if end < n && total / n as f64 > budget {
+            return None;
+        }
+    }
+    let err = total / n as f64;
+    (err <= budget).then_some(err)
+}
+
+/// Fit the free (unsnapped) columns against the residual target after
+/// subtracting fixed contributions, in `residual` (reused across calls).
+/// Returns (coefficients in full order, intercept) or `None` if the
+/// refit fails.
+fn refit_free(
+    columns: &[Vec<f64>],
+    y: &[f64],
+    fixed: &[Option<f64>],
+    residual: &mut Vec<f64>,
+) -> Option<(Vec<f64>, f64)> {
+    let n = y.len();
+    residual.clear();
+    residual.extend_from_slice(y);
     let mut free_idx = Vec::new();
     for (j, fix) in fixed.iter().enumerate() {
         match fix {
@@ -59,12 +107,12 @@ fn refit_free(columns: &[Vec<f64>], y: &[f64], fixed: &[Option<f64>]) -> Option<
         }
     }
     if free_idx.is_empty() {
-        let fit = fit_constant(&residual).ok()?;
+        let fit = fit_constant(residual).ok()?;
         let coefs: Vec<f64> = fixed.iter().map(|f| f.unwrap_or(0.0)).collect();
         return Some((coefs, fit.intercept));
     }
     let free_cols: Vec<&[f64]> = free_idx.iter().map(|&j| columns[j].as_slice()).collect();
-    let fit = fit_ols_cols(&free_cols, &residual).ok()?;
+    let fit = fit_ols_cols(&free_cols, residual).ok()?;
     let mut coefs: Vec<f64> = fixed.iter().map(|f| f.unwrap_or(0.0)).collect();
     for (slot, &j) in free_idx.iter().enumerate() {
         coefs[j] = fit.coefficients[slot];
@@ -122,7 +170,11 @@ pub fn snap_fit(columns: &[Vec<f64>], y: &[f64], fit: &LinearFit, tolerance: f64
     let mut fixed: Vec<Option<f64>> = vec![None; p];
     let mut current_coefs = fit.coefficients.clone();
     let mut current_intercept = fit.intercept;
+    // The error of (`current_coefs`, `current_intercept`): each accepted
+    // trial's error is the error of the model it leaves.
+    let mut mae = base_mae;
     let mut snapped_count = 0;
+    let mut residual = Vec::with_capacity(y.len());
 
     // Snap slopes one at a time, largest-magnitude first (they dominate the
     // rendered transformation).
@@ -140,20 +192,20 @@ pub fn snap_fit(columns: &[Vec<f64>], y: &[f64], fit: &LinearFit, tolerance: f64
             if cand_roundness < raw_roundness {
                 continue; // never snap to something less round
             }
-            let mut trial_fixed = fixed.clone();
-            trial_fixed[j] = Some(cand);
-            if let Some((coefs, intercept)) = refit_free(columns, y, &trial_fixed) {
-                let err = mae_of(columns, y, &coefs, intercept);
-                if err <= budget {
-                    if cand != raw {
-                        snapped_count += 1;
-                    }
-                    fixed = trial_fixed;
-                    current_coefs = coefs;
-                    current_intercept = intercept;
-                    accepted = true;
-                    break;
+            // Only slot `j` differs between trials.
+            fixed[j] = Some(cand);
+            let Some((coefs, intercept)) = refit_free(columns, y, &fixed, &mut residual) else {
+                continue;
+            };
+            if let Some(err) = mae_within(columns, y, &coefs, intercept, budget) {
+                if cand != raw {
+                    snapped_count += 1;
                 }
+                current_coefs = coefs;
+                current_intercept = intercept;
+                mae = err;
+                accepted = true;
+                break;
             }
         }
         if !accepted {
@@ -169,17 +221,16 @@ pub fn snap_fit(columns: &[Vec<f64>], y: &[f64], fit: &LinearFit, tolerance: f64
         if cand_roundness < raw_roundness {
             continue;
         }
-        let err = mae_of(columns, y, &current_coefs, cand);
-        if err <= budget {
+        if let Some(err) = mae_within(columns, y, &current_coefs, cand, budget) {
             if cand != raw_intercept {
                 snapped_count += 1;
             }
             current_intercept = cand;
+            mae = err;
             break;
         }
     }
 
-    let mae = mae_of(columns, y, &current_coefs, current_intercept);
     SnappedFit {
         coefficients: current_coefs,
         intercept: current_intercept,
@@ -254,6 +305,206 @@ mod tests {
             for (c, r) in ordered {
                 prop_assert_eq!(r.to_bits(), roundness(c).to_bits());
             }
+        }
+    }
+
+    /// [`snap_fit`] as it was before trials gave up on a prefix: a full
+    /// [`mae_of`] pass per trial, a cloned `fixed` per slope trial, and a
+    /// closing [`mae_of`] pass for the returned error.
+    fn snap_fit_reference(
+        columns: &[Vec<f64>],
+        y: &[f64],
+        fit: &LinearFit,
+        tolerance: f64,
+    ) -> SnappedFit {
+        let p = fit.coefficients.len();
+        let scale = charles_numerics::stats::std_dev(y).unwrap_or(1.0);
+        let base_mae = mae_of(columns, y, &fit.coefficients, fit.intercept);
+        let budget = base_mae * (1.0 + tolerance) + tolerance * scale / 1000.0 + 1e-12;
+        let mut fixed: Vec<Option<f64>> = vec![None; p];
+        let mut current_coefs = fit.coefficients.clone();
+        let mut current_intercept = fit.intercept;
+        let mut snapped_count = 0;
+        let mut order: Vec<usize> = (0..p).collect();
+        order.sort_by(|&a, &b| {
+            fit.coefficients[b]
+                .abs()
+                .total_cmp(&fit.coefficients[a].abs())
+        });
+        for &j in &order {
+            let raw = current_coefs[j];
+            let raw_roundness = roundness(raw);
+            let mut accepted = false;
+            for (cand, cand_roundness) in ordered_candidates(raw) {
+                if cand_roundness < raw_roundness {
+                    continue;
+                }
+                let mut trial_fixed = fixed.clone();
+                trial_fixed[j] = Some(cand);
+                let refit = refit_free(columns, y, &trial_fixed, &mut Vec::new());
+                if let Some((coefs, intercept)) = refit {
+                    let err = mae_of(columns, y, &coefs, intercept);
+                    if err <= budget {
+                        if cand != raw {
+                            snapped_count += 1;
+                        }
+                        fixed = trial_fixed;
+                        current_coefs = coefs;
+                        current_intercept = intercept;
+                        accepted = true;
+                        break;
+                    }
+                }
+            }
+            if !accepted {
+                fixed[j] = Some(raw);
+            }
+        }
+        let raw_intercept = current_intercept;
+        let raw_roundness = roundness(raw_intercept);
+        for (cand, cand_roundness) in ordered_candidates(raw_intercept) {
+            if cand_roundness < raw_roundness {
+                continue;
+            }
+            if mae_of(columns, y, &current_coefs, cand) <= budget {
+                if cand != raw_intercept {
+                    snapped_count += 1;
+                }
+                current_intercept = cand;
+                break;
+            }
+        }
+        let mae = mae_of(columns, y, &current_coefs, current_intercept);
+        SnappedFit {
+            coefficients: current_coefs,
+            intercept: current_intercept,
+            mae,
+            snapped_count,
+        }
+    }
+
+    /// A partition to snap: `p` predictor columns, a target from round
+    /// constants plus optional noise, hand-edited outliers and ±∞/NaN
+    /// cells, and the snapping tolerance.
+    #[derive(Debug, Clone)]
+    struct SnapCase {
+        columns: Vec<Vec<f64>>,
+        y: Vec<f64>,
+        tolerance: f64,
+    }
+
+    fn snap_case() -> impl Strategy<Value = SnapCase> {
+        (
+            (0usize..=3, 1usize..300),
+            proptest::collection::vec(0usize..8, 4),
+            prop_oneof![Just(0.0), Just(1e-9), 0.0f64..5.0],
+            proptest::collection::vec((0usize..400, 0usize..6), 0..6),
+            (
+                prop_oneof![Just(0.0), Just(0.001), Just(0.02), 0.0f64..0.1],
+                any::<u64>(),
+            ),
+        )
+            .prop_map(|((p, n), constants, noise, edits, (tolerance, seed))| {
+                let round = [0.0, 0.5, 1.0, 1.05, 2.0, 0.03, 250.0, 1000.0];
+                let mut state = seed | 1;
+                let mut next = move || {
+                    state ^= state << 13;
+                    state ^= state >> 7;
+                    state ^= state << 17;
+                    (state >> 11) as f64 / (1u64 << 53) as f64
+                };
+                let columns: Vec<Vec<f64>> = (0..p)
+                    .map(|_| (0..n).map(|_| (next() * 5e4).round()).collect())
+                    .collect();
+                let mut y: Vec<f64> = (0..n)
+                    .map(|i| {
+                        let mut v = round[constants[3]];
+                        for (j, col) in columns.iter().enumerate() {
+                            v += round[constants[j]] * col[i];
+                        }
+                        v + noise * (next() - 0.5)
+                    })
+                    .collect();
+                for (row, kind) in edits {
+                    if let Some(v) = y.get_mut(row % n) {
+                        *v = match kind {
+                            0 => f64::INFINITY,
+                            1 => f64::NEG_INFINITY,
+                            2 => f64::NAN,
+                            _ => *v * 3.0 + 7.0,
+                        };
+                    }
+                }
+                SnapCase {
+                    columns,
+                    y,
+                    tolerance,
+                }
+            })
+    }
+
+    /// Residual magnitudes with long exact-zero runs, and budgets at the
+    /// exact error of every 64-row prefix, so an early check that rejects
+    /// at equality, or that skips the tail, shows.
+    fn prefix_case() -> impl Strategy<Value = (Vec<f64>, f64)> {
+        (
+            proptest::collection::vec(prop_oneof![Just(0.0), Just(0.0), 0.0f64..9.0], 1..300),
+            1usize..300,
+            any::<usize>(),
+            prop_oneof![Just(0.0), Just(-1.0), Just(1.0)],
+        )
+            .prop_map(|(mut y, zero_from, pick, nudge)| {
+                for v in y.iter_mut().skip(zero_from) {
+                    *v = 0.0;
+                }
+                let n = y.len() as f64;
+                let mut sums = vec![0.0];
+                let mut total = 0.0;
+                for (i, v) in y.iter().enumerate() {
+                    total += v.abs();
+                    if (i + 1) % PREFIX_ROWS == 0 || i + 1 == y.len() {
+                        sums.push(total);
+                    }
+                }
+                let budget = sums[pick % sums.len()] / n;
+                let budget = budget + nudge * budget * f64::EPSILON;
+                (y, budget)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Prefix rejection, the carried error, the hoisted `fixed` and the
+        /// reused residual buffer decide every trial as the full passes
+        /// did: coefficients, intercept, error and snap count, by bits.
+        #[test]
+        fn snap_fit_matches_full_pass_reference(case in snap_case()) {
+            let SnapCase { columns, y, tolerance } = &case;
+            let clean: Vec<f64> = y.iter().map(|v| if v.is_finite() { *v } else { 0.0 }).collect();
+            let fit = if columns.len() < y.len() && !columns.is_empty() {
+                fit_ols(columns, &clean).unwrap_or_else(|_| fit_constant(&clean).unwrap())
+            } else {
+                fit_constant(&clean).unwrap()
+            };
+            let used: &[Vec<f64>] = if fit.coefficients.is_empty() { &[] } else { columns };
+            let got = snap_fit(used, y, &fit, *tolerance);
+            let want = snap_fit_reference(used, y, &fit, *tolerance);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&got.coefficients), bits(&want.coefficients));
+            prop_assert_eq!(got.intercept.to_bits(), want.intercept.to_bits());
+            prop_assert_eq!(got.mae.to_bits(), want.mae.to_bits());
+            prop_assert_eq!(got.snapped_count, want.snapped_count);
+        }
+
+        /// A trial checked on prefixes accepts exactly when the full error
+        /// is within budget, and then with the full error's bits.
+        #[test]
+        fn prefix_check_decides_as_full_pass((y, budget) in prefix_case()) {
+            let full = mae_of(&[], &y, &[], 0.0);
+            let want = (full <= budget).then_some(full.to_bits());
+            let got = mae_within(&[], &y, &[], 0.0, budget).map(f64::to_bits);
+            prop_assert_eq!(got, want);
         }
     }
 

@@ -285,21 +285,12 @@ impl Condition {
         parts.join(" ∧ ")
     }
 
-    /// The structural identity of this condition over one table (`None`
-    /// when an attribute handle is unresolved): equal keys select equal
-    /// rows. Unlike [`Condition::signature`] it compares thresholds by
-    /// their exact bits, not their rendering.
+    /// The structural identity of this condition over one table,
+    /// descriptor for descriptor and in order (`None` when an attribute
+    /// handle is unresolved): equal keys select equal rows and render
+    /// identically. Unlike [`Condition::signature`] it compares thresholds
+    /// by their exact bits, not their rendering.
     pub(crate) fn key(&self) -> Option<ConditionKey> {
-        let mut key = self.exact_key()?;
-        // A conjunction selects the same rows in any order.
-        key.0.sort();
-        Some(key)
-    }
-
-    /// The condition descriptor for descriptor, in order (`None` when an
-    /// attribute handle is unresolved): equal exact keys select equal rows
-    /// and render identically.
-    pub(crate) fn exact_key(&self) -> Option<ConditionKey> {
         let keys = self
             .descriptors
             .iter()
@@ -327,13 +318,12 @@ impl Condition {
     }
 }
 
-/// See [`Condition::key`] (the condition's descriptors, sorted) and
-/// [`Condition::exact_key`] (in order).
+/// See [`Condition::key`].
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub(crate) struct ConditionKey(Vec<DescriptorKey>);
 
 /// One descriptor by attribute id, variant, values, and threshold bits.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 enum DescriptorKey {
     Equals(AttrId, Value),
     NotEquals(AttrId, Value),

@@ -182,9 +182,9 @@ type CandidateKey = (AttrId, Vec<AttrId>, Vec<AttrId>, usize, u64);
 /// Memo key for one CART induction: condition subset and labeling.
 type CartKey = (Vec<AttrId>, LabelingKey);
 
-/// Memo key for one partition fit: transformation subset and the
-/// partition's structural condition.
-type PartitionFitKey = (Vec<AttrId>, ConditionKey);
+/// Memo key for partition fits: transformation subset and a hash of the
+/// partition's rows (fits sharing a key are told apart by their rows).
+type PartitionFitKey = (Vec<AttrId>, u64);
 
 /// A fitted partition model and its mean absolute error (`None` when
 /// infeasible).
@@ -223,9 +223,10 @@ struct RunMemos {
     /// one id.
     trees: Mutex<HashMap<Vec<ConditionKey>, Vec<Arc<Tree>>>>,
     trees_interned: AtomicUsize,
-    /// Partition fits per (T, condition): trees over different labelings
-    /// often induce the same leaves.
-    partition_fits: Mutex<HashMap<PartitionFitKey, Arc<PartitionFit>>>,
+    /// Partition fits per (T, rows): trees over different labelings often
+    /// induce the same leaves, and different conditions often select the
+    /// same rows.
+    partition_fits: Mutex<HashMap<PartitionFitKey, Vec<LeafFit>>>,
     partition_fits_computed: AtomicUsize,
     /// Merged and scored CT lists per (T, tree): an identical tree under
     /// the same `T` gives an identical list and score.
@@ -239,6 +240,35 @@ struct Tree {
     /// handles, which is never shared).
     id: Option<usize>,
     leaves: Leaves,
+}
+
+/// A memoized partition fit and the tree leaf whose rows it fits: the
+/// rows are read back from the tree, so the memo holds no row vector.
+struct LeafFit {
+    tree: Arc<Tree>,
+    leaf: u16,
+    /// How many rows the leaf holds.
+    len: usize,
+    fit: Arc<PartitionFit>,
+}
+
+impl LeafFit {
+    /// Whether the leaf's rows are exactly `rows` (distinct row ids).
+    fn fits(&self, rows: &[usize]) -> bool {
+        let leaves = &self.tree.leaves;
+        self.len == rows.len()
+            && rows.iter().all(|&r| {
+                leaves.leaf_of_row[r] == self.leaf && leaves.unmatched.binary_search(&r).is_err()
+            })
+    }
+}
+
+/// A hash of a row set (FxHash's multiply-rotate step), to bucket
+/// partition fits by their rows.
+fn rows_hash(rows: &[usize]) -> u64 {
+    rows.iter().fold(rows.len() as u64, |h, &r| {
+        (h.rotate_left(5) ^ r as u64).wrapping_mul(0x517c_c1b7_2722_0a95)
+    })
 }
 
 /// A tree's scored CT list, and the CTs with their rows when the lookup
@@ -262,6 +292,8 @@ struct ScoredCt {
     mae: f64,
     /// The leaves whose rows the CT covers (several after a merge).
     leaves: Vec<u16>,
+    /// How many rows they hold.
+    len: usize,
 }
 
 impl ScoredCts {
@@ -284,6 +316,7 @@ impl ScoredCts {
                     transformation: ct.transformation.clone(),
                     mae: ct.mae,
                     leaves: covered,
+                    len: ct.rows.len(),
                 }
             })
             .collect();
@@ -304,7 +337,11 @@ impl ScoredCts {
                 ct_of_leaf[usize::from(leaf)] = i;
             }
         }
-        let mut rows: Vec<Vec<usize>> = vec![Vec::new(); self.cts.len()];
+        let mut rows: Vec<Vec<usize>> = self
+            .cts
+            .iter()
+            .map(|ct| Vec::with_capacity(ct.len))
+            .collect();
         let mut unmatched = leaves.unmatched.iter().peekable();
         for (r, &leaf) in leaves.leaf_of_row.iter().enumerate() {
             if unmatched.next_if_eq(&&r).is_some() {
@@ -659,7 +696,7 @@ impl<'a> SearchContext<'a> {
     /// new id.
     fn intern(&self, leaves: Leaves) -> Arc<Tree> {
         let keys: Option<Vec<ConditionKey>> =
-            leaves.conditions.iter().map(Condition::exact_key).collect();
+            leaves.conditions.iter().map(Condition::key).collect();
         let Some(keys) = keys else {
             return Arc::new(Tree { id: None, leaves });
         };
@@ -684,10 +721,10 @@ impl<'a> SearchContext<'a> {
     /// One tree's CT list under `tran_attrs`, merged and scored (`None`
     /// when no leaf yields a CT), memoized for the run on (`T`, tree).
     /// When this call computed it, the CTs with their rows come too.
-    fn scored(&self, tran_attrs: &[AttrRef], tree: &Tree) -> Result<Scoring> {
+    fn scored(&self, tran_attrs: &[AttrRef], tree: &Arc<Tree>) -> Result<Scoring> {
         let mut fresh = None;
         let mut score = || {
-            let cts = cts_from_leaves(self, tran_attrs, &tree.leaves)?;
+            let cts = cts_from_leaves(self, tran_attrs, tree);
             if cts.is_empty() {
                 return Ok(Arc::new(None));
             }
@@ -708,25 +745,48 @@ impl<'a> SearchContext<'a> {
         Ok((scored, fresh))
     }
 
-    /// The fitted model of one partition, memoized for the run on
-    /// (`T`, condition): the partition's `rows` are a function of its
-    /// condition, so equal conditions fit identically.
+    /// The fitted model of leaf `leaf` of `tree`, whose rows are `rows`,
+    /// memoized for the run on (`T`, rows): a fit reads nothing of the
+    /// partition but its rows, so conditions selecting equal rows fit
+    /// identically.
     fn partition_fit(
         &self,
         tran_attrs: &[AttrRef],
-        condition: &Condition,
+        tree: &Arc<Tree>,
+        leaf: u16,
         rows: &[usize],
-    ) -> Result<Arc<PartitionFit>> {
+    ) -> Arc<PartitionFit> {
         let fit = || Arc::new(fit_partition(self, tran_attrs, rows));
-        match (attr_ids(tran_attrs), condition.key()) {
-            (Some(tran), Some(cond)) => memoized(
-                &self.run.partition_fits,
-                (tran, cond),
-                &self.run.partition_fits_computed,
-                || Ok(fit()),
-            ),
-            _ => Ok(fit()),
+        let Some(tran) = attr_ids(tran_attrs) else {
+            return fit();
+        };
+        let key = (tran, rows_hash(rows));
+        let memo = &self.run.partition_fits;
+        let hit = |fits: &[LeafFit]| {
+            fits.iter()
+                .find(|f| f.fits(rows))
+                .map(|f| Arc::clone(&f.fit))
+        };
+        if let Some(hit) = lock(memo).get(&key).and_then(|fits| hit(fits)) {
+            return hit;
         }
+        let computed = fit();
+        let mut memo = lock(memo);
+        let same_hash = memo.entry(key).or_default();
+        // A racing thread's identical fit may have landed meanwhile.
+        if let Some(hit) = hit(same_hash) {
+            return hit;
+        }
+        self.run
+            .partition_fits_computed
+            .fetch_add(1, Ordering::Relaxed);
+        same_hash.push(LeafFit {
+            tree: Arc::clone(tree),
+            leaf,
+            len: rows.len(),
+            fit: Arc::clone(&computed),
+        });
+        computed
     }
 
     /// The shared scoring context.
@@ -1192,14 +1252,16 @@ fn categorical_labels(table: &Table, attr: &AttrRef) -> Option<Vec<usize>> {
 fn cts_from_leaves(
     ctx: &SearchContext<'_>,
     tran_attrs: &[AttrRef],
-    leaves: &Leaves,
-) -> Result<Vec<ConditionalTransformation>> {
+    tree: &Arc<Tree>,
+) -> Vec<ConditionalTransformation> {
+    let leaves = &tree.leaves;
     let n = ctx.y_target.len();
     let tolerance = ctx.config.change_tolerance;
     let mut cts = Vec::with_capacity(leaves.conditions.len());
     // The partitions are *exactly* what the conditions say: a leaf's rows
     // are the rows its condition matches.
-    for (condition, rows) in leaves.conditions.iter().zip(leaves.rows()) {
+    let leaf_rows = leaves.conditions.iter().zip(leaves.rows());
+    for (leaf, (condition, rows)) in (0..=u16::MAX).zip(leaf_rows) {
         if rows.is_empty() {
             continue;
         }
@@ -1211,7 +1273,7 @@ fn cts_from_leaves(
         let (transformation, mae) = if unchanged {
             (Transformation::Identity, 0.0)
         } else {
-            match ctx.partition_fit(tran_attrs, condition, &rows)?.as_ref() {
+            match ctx.partition_fit(tran_attrs, tree, leaf, &rows).as_ref() {
                 Some(ft) => ft.clone(),
                 None => continue,
             }
@@ -1224,7 +1286,7 @@ fn cts_from_leaves(
             mae,
         ));
     }
-    Ok(merge_equivalent_cts(cts, n))
+    merge_equivalent_cts(cts, n)
 }
 
 /// Evaluate one candidate into a scored summary. Returns `Ok(None)` when

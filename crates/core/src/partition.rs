@@ -99,50 +99,30 @@ pub fn cluster_residuals_many(
     config: &CharlesConfig,
 ) -> Result<Vec<Vec<usize>>> {
     let n = residuals.len();
-    // `kept` lists the rows still clustered (`None`: every row), `values`
-    // their residuals; every trimmed row is labelled `OUTLIER_LABEL`.
-    let mut kept: Option<Vec<usize>> = None;
-    let mut values: Vec<f64> = Vec::new();
+    // The rows still clustered and their residuals; every trimmed row is
+    // labelled `OUTLIER_LABEL`.
+    let mut rows: Vec<usize> = (0..n).collect();
+    let mut values = residuals.to_vec();
     if config.partition_method != PartitionMethod::ResidualDbscan {
-        loop {
-            let current = if kept.is_some() {
-                &values[..]
-            } else {
-                residuals
-            };
-            if current.len() <= 1 {
+        while values.len() > 1 {
+            let (inliers, outliers) = trim_outliers(&values);
+            if outliers.is_empty() {
                 break;
             }
-            let (inliers, out) = trim_outliers(current);
-            if out.is_empty() {
-                break;
-            }
-            let rows = |slots: &[usize]| -> Vec<usize> {
-                match &kept {
-                    Some(rows) => slots.iter().map(|&i| rows[i]).collect(),
-                    None => slots.to_vec(),
-                }
-            };
-            let next_rows = rows(&inliers);
-            values = inliers.iter().map(|&i| current[i]).collect();
-            kept = Some(next_rows);
+            rows = inliers.iter().map(|&i| rows[i]).collect();
+            values = inliers.iter().map(|&i| values[i]).collect();
         }
     }
-    let inliers = if kept.is_some() {
-        &values[..]
-    } else {
-        residuals
-    };
+    let clusters = |k: usize| k > 1 && n > 1 && values.len() > 1;
     let clustered: Vec<usize> = ks
         .iter()
-        .copied()
-        .filter(|&k| k > 1 && n > 1 && inliers.len() > 1)
-        .map(|k| k.min(inliers.len()))
+        .filter(|&&k| clusters(k))
+        .map(|&k| k.min(values.len()))
         .collect();
-    let mut sub = if clustered.is_empty() {
+    let mut clusterings = if clustered.is_empty() {
         Vec::new()
     } else {
-        cluster_inliers(inliers, &clustered, config)?
+        cluster_inliers(&values, &clustered, config)?
     }
     .into_iter();
     ks.iter()
@@ -150,14 +130,12 @@ pub fn cluster_residuals_many(
             if k <= 1 || n <= 1 {
                 return Ok(vec![0; n]);
             }
-            let labels = if inliers.len() > 1 {
-                sub.next()
-                    .ok_or_else(|| RelationError::InvalidArgument("missing clustering".into()))?
+            let labels = if clusters(k) {
+                clusterings.next().ok_or_else(|| {
+                    RelationError::InvalidArgument("one clustering per clustered k".into())
+                })?
             } else {
-                vec![0; inliers.len()]
-            };
-            let Some(rows) = &kept else {
-                return Ok(labels);
+                vec![0; values.len()]
             };
             let mut out = vec![OUTLIER_LABEL; n];
             for (&row, label) in rows.iter().zip(labels) {

@@ -230,7 +230,7 @@ struct RunMemos {
     partition_fits_computed: AtomicUsize,
     /// Merged and scored CT lists per (T, tree): an identical tree under
     /// the same `T` gives an identical list and score.
-    scored: Mutex<HashMap<ScoredKey, Arc<Option<ScoredCts>>>>,
+    scored: Mutex<HashMap<ScoredKey, Option<Arc<ScoredCts>>>>,
     scorings_computed: AtomicUsize,
 }
 
@@ -273,10 +273,7 @@ fn rows_hash(rows: &[usize]) -> u64 {
 
 /// A tree's scored CT list, and the CTs with their rows when the lookup
 /// computed them.
-type Scoring = (
-    Arc<Option<ScoredCts>>,
-    Option<Vec<ConditionalTransformation>>,
-);
+type Scoring = (Arc<ScoredCts>, Option<Vec<ConditionalTransformation>>);
 
 /// One tree's CT list under one `T`, merged and scored, without rows.
 struct ScoredCts {
@@ -467,17 +464,6 @@ pub(crate) enum LabelingKey {
 }
 
 impl LabelingKey {
-    /// The cluster count a signal's key asks for (`None` for a
-    /// categorical labeling).
-    fn k(&self) -> Option<usize> {
-        match self {
-            LabelingKey::Residual(_, k) | LabelingKey::Delta(k) | LabelingKey::RelDelta(k) => {
-                Some(*k)
-            }
-            LabelingKey::Categorical(_) => None,
-        }
-    }
-
     /// The same signal's key at another cluster count.
     fn with_k(&self, k: usize) -> LabelingKey {
         match self {
@@ -578,14 +564,14 @@ impl<'a> SearchContext<'a> {
         })
     }
 
-    /// Memoized clustering of one change signal at the cluster count its
-    /// key names. On a miss at a `k ≥ 2` of the configured range, the
-    /// signal is clustered at every `k ≥ 2` of that range in one pass and
-    /// all of them enter the memo: every candidate `k` of the range asks
-    /// for each signal a candidate of any `k` asks for.
-    fn labels_for(&self, key: LabelingKey, signal: &[f64]) -> Result<Arc<Vec<usize>>> {
+    /// Memoized clustering of one change signal into `k` groups (`key`
+    /// names the signal at that `k`). On a miss at a `k ≥ 2` of the
+    /// configured range, the signal is clustered at every `k ≥ 2` of that
+    /// range in one pass and all of them enter the memo: every candidate
+    /// `k` of the range asks for each signal a candidate of any `k` asks
+    /// for.
+    fn labels_for(&self, key: LabelingKey, signal: &[f64], k: usize) -> Result<Arc<Vec<usize>>> {
         let ks: Vec<usize> = (self.config.k_min.max(2)..=self.config.k_max).collect();
-        let k = key.k().unwrap_or(0);
         if !ks.contains(&k) {
             return memoized(
                 &self.caches.label_memo,
@@ -721,17 +707,17 @@ impl<'a> SearchContext<'a> {
     /// One tree's CT list under `tran_attrs`, merged and scored (`None`
     /// when no leaf yields a CT), memoized for the run on (`T`, tree).
     /// When this call computed it, the CTs with their rows come too.
-    fn scored(&self, tran_attrs: &[AttrRef], tree: &Arc<Tree>) -> Result<Scoring> {
+    fn scored(&self, tran_attrs: &[AttrRef], tree: &Arc<Tree>) -> Result<Option<Scoring>> {
         let mut fresh = None;
         let mut score = || {
             let cts = cts_from_leaves(self, tran_attrs, tree);
             if cts.is_empty() {
-                return Ok(Arc::new(None));
+                return Ok(None);
             }
             let (scores, breakdown) = self.scoring.score(&cts)?;
             let scored = ScoredCts::new(&cts, &tree.leaves, scores, breakdown);
             fresh = Some(cts);
-            Ok(Arc::new(Some(scored)))
+            Ok(Some(Arc::new(scored)))
         };
         let scored = match (attr_ids(tran_attrs), tree.id) {
             (Some(tran), Some(id)) => memoized(
@@ -742,7 +728,7 @@ impl<'a> SearchContext<'a> {
             )?,
             _ => score()?,
         };
-        Ok((scored, fresh))
+        Ok(scored.map(|scored| (scored, fresh)))
     }
 
     /// The fitted model of leaf `leaf` of `tree`, whose rows are `rows`,
@@ -1368,7 +1354,7 @@ fn evaluate_candidate_uncached(
         (LabelingKey::Delta(k), ctx.delta.as_slice()),
         (LabelingKey::RelDelta(k), ctx.rel_delta.as_slice()),
     ] {
-        let labels = ctx.labels_for(key.clone(), signal)?;
+        let labels = ctx.labels_for(key.clone(), signal, k)?;
         labelings.push((Some(key), labels));
     }
     // For a single categorical condition attribute, the GROUP-BY-value
@@ -1389,22 +1375,17 @@ fn evaluate_candidate_uncached(
             continue; // identical tree ⇒ identical summary, and an earlier tie wins
         }
         seen.push(Arc::clone(&tree));
-        let scoring = ctx.scored(&candidate.tran_attrs, &tree)?;
-        let Some(score) = scoring.0.as_ref().as_ref().map(|s| s.scores.score) else {
+        let Some(scoring) = ctx.scored(&candidate.tran_attrs, &tree)? else {
             continue;
         };
-        let better = match &best {
-            Some((_, (b, _))) => b.as_ref().as_ref().is_none_or(|b| score > b.scores.score),
-            None => true,
-        };
-        if better {
+        if best
+            .as_ref()
+            .is_none_or(|(_, (b, _))| scoring.0.scores.score > b.scores.score)
+        {
             best = Some((tree, scoring));
         }
     }
     let Some((tree, (scored, fresh))) = best else {
-        return Ok(None);
-    };
-    let Some(scored) = scored.as_ref() else {
         return Ok(None);
     };
     let cts = match fresh {
@@ -1785,15 +1766,14 @@ mod tests {
         let count = |c: &AtomicUsize| c.load(Ordering::Relaxed);
         assert_eq!(count(&ctx.run.carts_computed), 2);
         assert!(Arc::ptr_eq(&a, &b), "identical trees must intern to one");
-        let (first, fresh) = ctx.scored(&t, &a).unwrap();
-        let (second, again) = ctx.scored(&t, &b).unwrap();
+        let (first, fresh) = ctx.scored(&t, &a).unwrap().unwrap();
+        let (second, again) = ctx.scored(&t, &b).unwrap().unwrap();
         assert!(Arc::ptr_eq(&first, &second));
         assert!(fresh.is_some() && again.is_none());
         assert_eq!(count(&ctx.run.scorings_computed), 1);
         // The materialized rows are the tree's leaves, as a fresh build
         // gives them.
-        let scored = first.as_ref().as_ref().unwrap();
-        assert_eq!(scored.materialize(&a.leaves), fresh.unwrap());
+        assert_eq!(first.materialize(&a.leaves), fresh.unwrap());
         // Another T over the same tree is scored on its own.
         let wide = SearchContext::new(&pair, "bonus", &["exp".into()], &config).unwrap();
         let tree = wide

@@ -88,7 +88,8 @@ pub struct PlaneCaches {
     /// are candidate-independent and residuals depend only on `T`, so the
     /// dominant per-candidate cost (1-D k-means over all rows) is shared
     /// across every candidate with the same signal — different condition
-    /// subsets reuse the identical labeling.
+    /// subsets reuse the identical labeling. A signal's first miss fills
+    /// every `k` of the configured range in one clustering pass.
     label_memo: Mutex<HashMap<LabelKey, Arc<Vec<usize>>>>,
     /// Fully evaluated candidates per (target, C, T, k, α): a warm rerun of
     /// an identical query re-ranks cached summaries without re-inducing
@@ -97,7 +98,8 @@ pub struct PlaneCaches {
     /// Number of global OLS fits actually computed (memo misses).
     fits_computed: AtomicUsize,
     /// Number of labelings actually computed (clusterings + categorical
-    /// groupings; memo misses).
+    /// groupings; memo entries inserted, one per (signal, k) however
+    /// many one clustering pass fills).
     labelings_computed: AtomicUsize,
     /// Number of candidate evaluations actually computed (memo misses).
     candidates_computed: AtomicUsize,
@@ -212,7 +214,8 @@ struct RunMemos {
     /// every tree over a labeling starts from the same root.
     root_counts: Mutex<HashMap<RootKey, Arc<Vec<u32>>>>,
     root_counts_computed: AtomicUsize,
-    /// Rendered split thresholds per `(below, above)` bits.
+    /// Rounded split thresholds (`nice_threshold`) per `(below, above)`
+    /// bits.
     thresholds: Mutex<HashMap<(u64, u64), f64>>,
     /// Trees per CART input: candidates that share a condition subset and
     /// a labeling (all `T` sharing a Δ labeling do) grow one tree.
@@ -1431,7 +1434,10 @@ pub fn evaluate_candidate_naive(
         .iter()
         .map(|a| a.name().to_string())
         .collect();
-    let ctx = SearchContext::new(pair, target_attr, &tran_names, config)?;
+    // The context serves this one candidate, so its k range is the
+    // candidate's `k`: a wider one would cluster each signal at every `k`.
+    let config = config.clone().with_k_range(candidate.k, candidate.k);
+    let ctx = SearchContext::new(pair, target_attr, &tran_names, &config)?;
     let schema = pair.source().schema();
     // Re-resolve the candidate against the fresh context's schema.
     let candidate = Candidate {

@@ -227,7 +227,8 @@ pub struct SessionStats {
     pub setup_reports_computed: usize,
     /// Global OLS fits computed.
     pub global_fits_computed: usize,
-    /// Labelings computed (clusterings + categorical groupings).
+    /// Labelings computed (clusterings + categorical groupings), one per
+    /// (signal, k) entry, though one clustering pass fills every `k`.
     pub labelings_computed: usize,
     /// Candidate evaluations computed.
     pub candidates_computed: usize,
